@@ -93,6 +93,14 @@ class Circuit:
         for lay in self.layers:
             _check_layer(lay, self.n)
         self.split_blocks()  # structural validation
+        # the compile and covariance caches hash a circuit on every query;
+        # a large quadratic layer makes that cost as much as the query
+        object.__setattr__(
+            self, "_hash", hash((self.n, self.input, self.layers, self.structure))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def split_blocks(self) -> tuple:
         """(leading Clifford layers, body layers, trailing Clifford layers)

@@ -2,7 +2,9 @@
 
 Subcommands: expect, marginal, classify, oracle-check.  Output is
 line-oriented key=value (or one JSON object with --json).  Exit codes:
-0 success, 1 input error, 2 unsupported query.
+0 success, 1 input error (including a circuit whose coefficients make
+the evolution non-finite, and an out-of-range --d-max), 2 unsupported
+query.
 """
 from __future__ import annotations
 
@@ -57,6 +59,8 @@ def cmd_expect(args) -> int:
         val = simulator.run_expectation(circ, p, d_max=args.d_max)
     except simulator.UnsupportedQuery as exc:
         return _fail(str(exc), EXIT_UNSUPPORTED)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     _emit(
         {
             "value": val,
@@ -80,7 +84,7 @@ def cmd_marginal(args) -> int:
         val = simulator.run_marginal(circ, query)
     except simulator.UnsupportedQuery as exc:
         return _fail(str(exc), EXIT_UNSUPPORTED)
-    except IndexError as exc:
+    except (ValueError, IndexError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     _emit({"probability": val, "class": _class_string(circ)}, args.json)
     return EXIT_OK

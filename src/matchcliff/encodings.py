@@ -3,8 +3,9 @@ Hermitian Pauli strings, one pair per fermionic mode.
 
 Provides the standard chain encoding (Jordan-Wigner form), the
 Fenwick-tree encoding (Bravyi-Kitaev form), validation, Clifford
-conjugation, decomposition of arbitrary Paulis into Majorana monomials,
-the I/Z letter-grid classifier with CZ+SWAP circuit recovery, and the
+conjugation, decomposition of arbitrary Paulis into Majorana monomials
+(closed form in the chain encoding, GF(2) solve in any other), the I/Z
+letter-grid classifier with CZ+SWAP circuit recovery, and the
 two "linear terms become quadratic" extension constructions.
 """
 from __future__ import annotations
@@ -58,21 +59,23 @@ class Encoding:
         return np.stack([c.symplectic() for c in self.majoranas], axis=1)
 
 
+def chain_majorana(n: int, k: int) -> PauliString:
+    """The k-th chain-form Majorana on n qubits: Z..Z X_j for k = 2j,
+    Z..Z Y_j for k = 2j+1 (0-based)."""
+    j, odd = divmod(k, 2)
+    x = np.zeros(n, dtype=np.uint8)
+    z = np.zeros(n, dtype=np.uint8)
+    z[:j] = 1
+    x[j] = 1
+    z[j] = odd
+    return PauliString(x, z, odd)
+
+
 def jordan_wigner(n: int) -> Encoding:
     """Chain encoding: c_{2i} = Z..Z X_i, c_{2i+1} = Z..Z Y_i (0-based)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    cs = []
-    for i in range(n):
-        for letter in ("X", "Y"):
-            x = np.zeros(n, dtype=np.uint8)
-            z = np.zeros(n, dtype=np.uint8)
-            z[:i] = 1
-            x[i] = 1
-            if letter == "Y":
-                z[i] = 1
-            cs.append(PauliString(x, z, 1 if letter == "Y" else 0))
-    return Encoding(tuple(cs))
+    return Encoding(tuple(chain_majorana(n, k) for k in range(2 * n)))
 
 
 def _fenwick_parents(n: int) -> list:
@@ -193,13 +196,38 @@ def decompose_pauli(e: Encoding, p: PauliString) -> tuple:
         raise ValueError("length mismatch")
     sol = f2.solve(e.symplectic_basis(), p.symplectic())
     indices = tuple(int(i) for i in np.flatnonzero(sol))
-    prod = PauliString.identity(e.n)
-    for i in indices:
-        prod = prod * e.majoranas[i]
+    return indices, _recompose_phase(p, [e.majoranas[i] for i in indices])
+
+
+def chain_decompose(p: PauliString) -> tuple:
+    """decompose_pauli(jordan_wigner(p.n), p) in closed form.
+
+    With s_j the parity of p.x over the qubits after j, c_{2j+1} is a
+    factor iff z_j + s_j = 1 and c_{2j} iff x_j + z_j + s_j = 1 (mod 2):
+    each factor at qubit k > j leaves one Z at j, and the factors at j
+    leave its x and z bits.  The extended frame's Majoranas are the
+    chain form on one more qubit, so its strings decompose here too.
+    """
+    n = p.n
+    after = np.zeros(n, dtype=np.uint8)
+    after[:-1] = np.cumsum(p.x[:0:-1])[::-1] & 1
+    odd = p.z ^ after
+    bits = np.empty(2 * n, dtype=np.uint8)
+    bits[0::2] = p.x ^ odd
+    bits[1::2] = odd
+    indices = tuple(int(i) for i in np.flatnonzero(bits))
+    return indices, _recompose_phase(p, [chain_majorana(n, k) for k in indices])
+
+
+def _recompose_phase(p: PauliString, factors) -> complex:
+    """Phase of p relative to the ordered product of its factors, which
+    must recompose p up to that phase."""
+    prod = PauliString.identity(p.n)
+    for c in factors:
+        prod = prod * c
     if not np.array_equal(prod.x, p.x) or not np.array_equal(prod.z, p.z):
         raise AssertionError("decomposition failed to recompose")
-    phase = 1j ** ((p.phase_exp - prod.phase_exp) % 4)
-    return indices, complex(phase)
+    return complex(1j ** ((p.phase_exp - prod.phase_exp) % 4))
 
 
 # -- I/Z letter-grid form and CZ+SWAP recovery ------------------------

@@ -19,11 +19,9 @@ from . import linalg
 from .encodings import (
     EXTENDED,
     STANDARD,
-    Encoding,
-    decompose_pauli,
+    chain_decompose,
+    decompose_pauli,  # unused here; bench/tracing.py wraps this binding
     embed_l12,
-    extend_encoding,
-    jordan_wigner,
 )
 from .linalg import TOL, Tolerances
 from .pauli import PauliString
@@ -63,16 +61,10 @@ class CovarianceMatrix:
         m = 2 * self.n if self.framework == STANDARD else 2 * self.n + 2
         if g.shape != (m, m):
             raise FrameworkError(f"gamma shape {g.shape} does not match framework")
-        if np.max(np.abs(g)) > 1.0 + 1e-9:
+        if not np.max(np.abs(g)) <= 1.0 + 1e-9:
             raise InternalConsistencyError("covariance entries outside [-1, 1]")
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
-
-    @property
-    def encoding(self) -> Encoding:
-        if self.framework == STANDARD:
-            return jordan_wigner(self.n)
-        return extend_encoding(jordan_wigner(self.n))
 
     def purity_defect(self) -> float:
         m = self.gamma.shape[0]
@@ -80,7 +72,7 @@ class CovarianceMatrix:
 
     def check_pure(self, tol: float = TOL.purity):
         d = self.purity_defect()
-        if d > tol:
+        if not d <= tol:
             raise InternalConsistencyError(f"state not pure: defect {d:.3e}")
 
 
@@ -122,18 +114,19 @@ def embed_basis_covariance(c: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(g, EXTENDED, c.n)
 
 
-def pauli_terms_to_h(terms, encoding: Encoding) -> np.ndarray:
-    """Antisymmetric h with sum_k coef_k p_k = i sum_jk h_jk c_j c_k.
+def pauli_terms_to_h(terms, n: int) -> np.ndarray:
+    """Antisymmetric 2n x 2n h with sum_k coef_k p_k = i sum_jk h_jk c_j c_k.
 
-    Every term must decompose into exactly two Majoranas of the given
-    encoding.
+    Every term must be an n-qubit string that decomposes into exactly
+    two chain-form Majoranas.
     """
-    m = encoding.num_majoranas
-    h = np.zeros((m, m))
+    h = np.zeros((2 * n, 2 * n))
     for coef, p in terms:
-        indices, phase = decompose_pauli(encoding, p)
+        if p.n != n:
+            raise ValueError(f"term {p} does not act on {n} qubits")
+        indices, phase = chain_decompose(p)
         if len(indices) != 2:
-            raise ValueError(f"term {p} is not quadratic in the encoding")
+            raise ValueError(f"term {p} is not quadratic in the chain form")
         a, b = indices
         val = -1j * coef * phase / 2.0
         if abs(val.imag) > 1e-12:
@@ -161,8 +154,9 @@ def evolve(c: CovarianceMatrix, r: np.ndarray, tol: Tolerances = TOL) -> Covaria
 
 def evolve_by_terms(c: CovarianceMatrix, terms) -> CovarianceMatrix:
     """Evolve by exp(-i H) with H a sum of (coef, PauliString) terms
-    quadratic in the covariance's frame encoding."""
-    h = pauli_terms_to_h(terms, c.encoding)
+    quadratic in the chain form of the covariance's frame (n + 1 qubits
+    in the extended framework)."""
+    h = pauli_terms_to_h(terms, c.gamma.shape[0] // 2)
     return evolve(c, linalg.expm_antisymmetric(h))
 
 
@@ -181,8 +175,6 @@ def product_state_covariance(angles) -> CovarianceMatrix:
     fermionic-SWAP gates, farthest qubit first.
     """
     n = len(angles)
-    jw = jordan_wigner(n)
-    ext = extend_encoding(jw)
     cov = CovarianceMatrix(_basis_blocks([0] * (n + 1)), EXTENDED, n)
     fswap_coef = np.pi / 4.0
     for q in range(n - 1, -1, -1):
@@ -193,14 +185,14 @@ def product_state_covariance(angles) -> CovarianceMatrix:
             cov = evolve(
                 cov,
                 linalg.expm_antisymmetric(
-                    pauli_terms_to_h(_embed_terms([(theta / 2.0, y1)]), ext)
+                    pauli_terms_to_h(_embed_terms([(theta / 2.0, y1)]), n + 1)
                 ),
             )
         if phi != 0.0:
             cov = evolve(
                 cov,
                 linalg.expm_antisymmetric(
-                    pauli_terms_to_h(_embed_terms([(phi / 2.0, z1)]), ext)
+                    pauli_terms_to_h(_embed_terms([(phi / 2.0, z1)]), n + 1)
                 ),
             )
         for j in range(q):  # fSWAP chain: logical (j, j+1)
@@ -216,7 +208,9 @@ def product_state_covariance(angles) -> CovarianceMatrix:
             ]
             cov = evolve(
                 cov,
-                linalg.expm_antisymmetric(pauli_terms_to_h(_embed_terms(terms), ext)),
+                linalg.expm_antisymmetric(
+                    pauli_terms_to_h(_embed_terms(terms), n + 1)
+                ),
             )
     return cov
 
@@ -243,13 +237,8 @@ def pauli_expectation(
         raise ValueError("length mismatch")
     if not p.is_hermitian():
         raise ValueError("expectation of a non-Hermitian string")
-    if c.framework == STANDARD:
-        frame = jordan_wigner(c.n)
-        query = p
-    else:
-        frame = c.encoding
-        query = embed_l12(p)
-    indices, phase = decompose_pauli(frame, query)
+    query = p if c.framework == STANDARD else embed_l12(p)
+    indices, phase = chain_decompose(query)
     if len(indices) % 2:
         return 0.0  # parity superselection in the standard framework
     k = len(indices) // 2
@@ -292,6 +281,6 @@ def marginal_probability(
         sub[2 * i, 2 * i + 1] += s
         sub[2 * i + 1, 2 * i] -= s
     prob = (0.5**k) * sign * linalg.pfaffian(sub)
-    if prob < -tol.probability or prob > 1.0 + tol.probability:
+    if not -tol.probability <= prob <= 1.0 + tol.probability:
         raise InternalConsistencyError(f"probability {prob} outside [0, 1]")
     return float(min(max(prob, 0.0), 1.0))

@@ -30,7 +30,7 @@ def check_antisymmetric(a: np.ndarray, tol: float = TOL.antisymmetry) -> np.ndar
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotAntisymmetric(f"expected square matrix, got shape {a.shape}")
     dev = np.max(np.abs(a + a.T)) if a.size else 0.0
-    if dev > tol:
+    if not dev <= tol:
         raise NotAntisymmetric(f"max |a_ij + a_ji| = {dev:.3e} > {tol:.1e}")
     return a
 
@@ -69,10 +69,12 @@ def expm_antisymmetric(
     h: np.ndarray, scale: float = 4.0, tol: Tolerances = TOL
 ) -> np.ndarray:
     """R = exp(scale * h) for antisymmetric h; R is polished to orthogonal."""
-    h = check_antisymmetric(h, tol.antisymmetry)
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite entries in generator")
+    h = check_antisymmetric(h, tol.antisymmetry)
     r = scipy.linalg.expm(scale * h)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("non-finite entries in the exponential")
     drift = np.max(np.abs(r @ r.T - np.eye(r.shape[0]))) if r.size else 0.0
     if drift > tol.orthogonality_polish:
         # project to the nearest orthogonal matrix
@@ -85,6 +87,6 @@ def check_rotation(r: np.ndarray, tol: float = TOL.orthogonality) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     m = r.shape[0]
     dev = np.max(np.abs(r @ r.T - np.eye(m))) if r.size else 0.0
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"not orthogonal: ||R R^T - I|| = {dev:.3e}")
     return r

@@ -200,18 +200,5 @@ class PauliString:
         return m
 
 
-def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
-    return p * q
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    return p.commutes_with(q)
-
-
-def parity_class(p: PauliString) -> str:
-    """"Preserving" or "Breaking" per the even/odd bit-flip count."""
-    return "Preserving" if p.parity_preserving() else "Breaking"
-
-
 def weight(p: PauliString) -> int:
     return p.weight()

@@ -25,17 +25,10 @@ from .circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from .encodings import embed_l12, extend_encoding, jordan_wigner
+from .encodings import EXTENDED, STANDARD, chain_decompose, chain_majorana, embed_l12
 from .gaussian import CovarianceMatrix, MarginalQuery
-from .pauli import PauliString
+from .pauli import _X, _Y, _Z, PauliString
 from .tableau import CliffordClass, CliffordTableau
-
-STANDARD = "standard"
-EXTENDED = "extended"
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 D_MAX_DEFAULT = 4
 D_MAX_CAP = 6
@@ -85,8 +78,7 @@ def layer_terms(lay, n: int) -> list:
     if isinstance(lay, MatchgateLayer):
         return matchgate_terms(n, lay.qubit, lay.coeffs)
     if isinstance(lay, LinearLayer):
-        jw = jordan_wigner(n)
-        return [(b, jw.majoranas[j]) for j, b in enumerate(lay.b) if b != 0.0]
+        return [(b, chain_majorana(n, j)) for j, b in enumerate(lay.b) if b != 0.0]
     raise TypeError(f"no term form for {lay!r}")
 
 
@@ -101,11 +93,9 @@ def layer_rotation(lay, n: int, frame: str) -> np.ndarray:
         return linalg.expm_antisymmetric(h)
     terms = layer_terms(lay, n)
     if frame == EXTENDED:
-        enc = extend_encoding(jordan_wigner(n))
         terms = [(c, embed_l12(p)) for c, p in terms]
-    else:
-        enc = jordan_wigner(n)
-    return linalg.expm_antisymmetric(gaussian.pauli_terms_to_h(terms, enc))
+        n += 1
+    return linalg.expm_antisymmetric(gaussian.pauli_terms_to_h(terms, n))
 
 
 @dataclass(frozen=True)
@@ -115,15 +105,6 @@ class CompiledCircuit:
     conj: CliffordTableau | None
     post: CliffordTableau | None
     rotations: tuple  # per body layer, in application order
-
-    @property
-    def total_rotation(self) -> np.ndarray:
-        n = self.circuit.n
-        m = 2 * n if self.frame == STANDARD else 2 * n + 2
-        total = np.eye(m)
-        for r in self.rotations:
-            total = r @ total
-        return total
 
 
 @functools.lru_cache(maxsize=256)
@@ -329,11 +310,7 @@ def restricted_pauli_expectation(
         raise UnsupportedQuery("restricted path does not cover linear layers")
     n = c.n
     conj = cc.conj if cc.conj is not None else CliffordTableau.identity(n)
-    jw = jordan_wigner(n)
-    q = conj.conjugate_pauli(p)
-    from .encodings import decompose_pauli
-
-    indices, mu = decompose_pauli(jw, q)
+    indices, mu = chain_decompose(conj.conjugate_pauli(p))
     d = len(indices)
     if d > d_max:
         raise DegreeTooLarge(
@@ -347,7 +324,7 @@ def restricted_pauli_expectation(
     for r in rots:
         s = r @ s
     inv_conj = tableau.invert(conj)
-    dressed = [inv_conj.conjugate_pauli(cm) for cm in jw.majoranas]
+    dressed = [inv_conj.conjugate_pauli(chain_majorana(n, k)) for k in range(2 * n)]
     total = 0.0 + 0.0j
     for js in itertools.product(range(2 * n), repeat=d):
         w = 1.0

@@ -398,7 +398,7 @@ def test_11_kernel_properties():
     for _ in range(5):
         coeffs = tuple(rng.normal(size=6) * 0.6)
         terms = matchgate_terms(2, 0, coeffs)
-        r = expm_antisymmetric(pauli_terms_to_h(terms, jw))
+        r = expm_antisymmetric(pauli_terms_to_h(terms, 2))
         u = oracle.unitary_from_hamiltonian(terms, 2)
         for i in range(4):
             lhs = u.conj().T @ jw.majoranas[i].dense() @ u

@@ -82,6 +82,27 @@ def test_marginal_unsupported_exit_code(capsys):
     assert "error=" in err
 
 
+@pytest.mark.parametrize("a1", [1e200, float("nan")])
+def test_non_finite_evolution_is_input_error(capsys, tmp_path, a1):
+    with open(f"{FIXTURES}/free_n3.json") as fh:
+        doc = json.load(fh)
+    doc["layers"][0]["coeffs"]["a1"] = a1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("expect", "--pauli", "ZII"), ("marginal", "--qubits", "0", "--bits", "1")):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert "error=" in err and "nan" not in out
+
+
+def test_d_max_above_cap_is_input_error(capsys):
+    code, _, err = run_cli(
+        capsys, "expect", f"{FIXTURES}/ghz4.json", "--pauli", "ZIIIII", "--d-max", "9"
+    )
+    assert code == 1
+    assert "error=d_max capped" in err
+
+
 def test_classify_circuit_file(capsys):
     code, out, _ = run_cli(capsys, "classify", f"{FIXTURES}/swap_conj_n3.json")
     assert code == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcliff import tableau
 from matchcliff.encodings import (
@@ -7,6 +9,7 @@ from matchcliff.encodings import (
     MalformedPairing,
     NotCzSwapFamily,
     bravyi_kitaev,
+    chain_decompose,
     conjugate_encoding,
     decompose_pauli,
     embed_l12,
@@ -112,6 +115,22 @@ def test_decompose_pauli_roundtrip():
                     rebuilt = rebuilt * enc.majoranas[i]
                 assert rebuilt.with_phase_exp(0) == prod.with_phase_exp(0)
                 assert abs(phase - prod.prefix() / rebuilt.prefix()) < 1e-12
+
+
+@st.composite
+def pauli_strings(draw):
+    n = draw(st.integers(1, 64))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return PauliString(np.array(draw(bits)), np.array(draw(bits)), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pauli_strings())
+def test_chain_decompose_matches_f2_route(p):
+    assert chain_decompose(p) == decompose_pauli(jordan_wigner(p.n), p)
+    # the extended frame's strings, n + 1 qubits long
+    q = embed_l12(p)
+    assert chain_decompose(q) == decompose_pauli(extend_encoding(jordan_wigner(p.n)), q)
 
 
 def test_encoding_matrix_of_chain_form():

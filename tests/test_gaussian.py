@@ -120,7 +120,7 @@ def test_pauli_terms_to_h_roundtrip():
         for j in range(2 * n)
         if i < j
     ]
-    h2 = pauli_terms_to_h(terms, jw)
+    h2 = pauli_terms_to_h(terms, n)
     # the returned matrix enters the full double sum i sum_ij h2_ij c_i c_j
     want = sum(
         1j * h[i, j] * jw.majoranas[i].dense() @ jw.majoranas[j].dense()

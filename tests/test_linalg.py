@@ -68,3 +68,15 @@ def test_expm_zero_is_identity():
 def test_check_rotation_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         linalg.check_rotation(2.0 * np.eye(4))
+
+
+def test_guards_reject_nan_and_overflow():
+    nan = np.full((4, 4), np.nan)
+    with pytest.raises(linalg.NotAntisymmetric):
+        linalg.check_antisymmetric(nan)
+    with pytest.raises(ValueError):
+        linalg.check_rotation(nan)
+    h = np.zeros((4, 4))
+    h[0, 1], h[1, 0] = 1e200, -1e200
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.expm_antisymmetric(h)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matchcliff import oracle, simulator
+from matchcliff import f2, oracle, simulator
 from matchcliff.circuits import (
     BasisInput,
     Circuit,
@@ -90,6 +90,59 @@ def test_post_clifford_marginals_refused():
     c = Circuit(n, BasisInput((0, 0, 0)), tuple(body + trail), "post_clifford")
     with pytest.raises(UnsupportedQuery):
         run_marginal(c, MarginalQuery((0,), (0,)))
+
+
+def test_chain_frame_queries_need_no_f2_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("f2.solve called")
+
+    monkeypatch.setattr(f2, "solve", refuse)
+    rng = np.random.default_rng(11)
+    n = 4
+    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+        body = random_matchgate_layers(rng, n, 3) + [LinearLayer(tuple(rng.normal(size=2 * n)))]
+        free = Circuit(n, inp, tuple(body), "free")
+        post = Circuit(n, inp, tuple(body + random_clifford_gates(rng, n, 4)), "post_clifford")
+        for c in (free, post):
+            ref = oracle.apply_circuit(c)
+            for _ in range(4):
+                p = random_pauli_string(rng, n)
+                assert run_expectation(c, p) == pytest.approx(
+                    oracle.expectation(ref, p).real, abs=1e-9
+                )
+        ref = oracle.apply_circuit(free)
+        query = MarginalQuery((0, 2), (1, 0))
+        assert run_marginal(free, query) == pytest.approx(
+            oracle.marginal(ref, (0, 2), (1, 0)), abs=1e-9
+        )
+
+
+def test_circuit_hash_is_computed_once_and_shared_by_equal_circuits():
+    hashed = []
+
+    class Coeffs(tuple):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    def build(a1):
+        coeffs = Coeffs((0.1, a1, 0.2, 0.0, 0.3, -0.1))
+        layers = (MatchgateLayer(0, coeffs), MatchgateLayer(1, (0.4,) * 6))
+        return Circuit(3, BasisInput((0, 1, 0)), layers, "free")
+
+    first, second, other = build(0.5), build(0.5), build(0.6)
+    assert len(hashed) == 3  # once per circuit, at construction
+    assert first == second and first is not second and hash(first) == hash(second)
+    assert len(hashed) == 3
+    assert other != first
+    cc = simulator.compile_circuit(first)
+    before = simulator.compile_circuit.cache_info()
+    assert simulator.compile_circuit(second) is cc
+    after = simulator.compile_circuit.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    simulator.compile_circuit(other)
+    last = simulator.compile_circuit.cache_info()
+    assert (last.hits - after.hits, last.misses - after.misses) == (0, 1)
 
 
 def test_swap_conjugated_marginals_match_oracle():
