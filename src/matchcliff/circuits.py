@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tableau
+from .linalg import TOL
 from .tableau import CliffordTableau
 
 STRUCTURES = ("conjugated", "post_clifford", "free")
@@ -184,7 +185,7 @@ def _check_layer(lay, n: int):
         h = lay.h_matrix()
         if h.shape != (2 * n, 2 * n):
             raise CircuitParseError("quadratic layer needs a 2n x 2n matrix")
-        if np.max(np.abs(h + h.T)) > 1e-12:
+        if not np.max(np.abs(h + h.T)) <= TOL.antisymmetry:
             raise CircuitParseError("quadratic layer matrix must be antisymmetric")
     else:
         raise CircuitParseError(f"unknown layer {lay!r}")

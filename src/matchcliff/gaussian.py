@@ -11,6 +11,7 @@ the extended framework.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ class CovarianceMatrix:
         m = 2 * self.n if self.framework == STANDARD else 2 * self.n + 2
         if g.shape != (m, m):
             raise FrameworkError(f"gamma shape {g.shape} does not match framework")
-        if not np.max(np.abs(g)) <= 1.0 + 1e-9:
+        if not np.max(np.abs(g)) <= 1.0 + TOL.covariance_entry:
             raise InternalConsistencyError("covariance entries outside [-1, 1]")
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
@@ -127,9 +128,11 @@ def pauli_terms_to_h(terms, n: int) -> np.ndarray:
         indices, phase = chain_decompose(p)
         if len(indices) != 2:
             raise ValueError(f"term {p} is not quadratic in the chain form")
+        if not np.isfinite(coef):
+            raise ValueError(f"non-finite coefficient {coef} on {p}")
         a, b = indices
         val = -1j * coef * phase / 2.0
-        if abs(val.imag) > 1e-12:
+        if not abs(val.imag) <= TOL.coefficient_imag:
             raise InternalConsistencyError("non-real quadratic coefficient")
         h[a, b] += val.real
         h[b, a] -= val.real
@@ -145,7 +148,7 @@ def evolve(c: CovarianceMatrix, r: np.ndarray, tol: Tolerances = TOL) -> Covaria
         dev = max(
             np.max(np.abs(r[0, 1:])), np.max(np.abs(r[1:, 0])), abs(r[0, 0] - 1.0)
         )
-        if dev > tol.orthogonality:
+        if not dev <= tol.orthogonality:
             raise FrameworkError(
                 "extended-framework rotations must leave the first Majorana fixed"
             )
@@ -243,7 +246,7 @@ def pauli_expectation(
         return 0.0  # parity superselection in the standard framework
     k = len(indices) // 2
     val = phase * (1j**k) * monomial_expectation(c, indices)
-    if abs(val.imag) > tol.expectation_imag:
+    if not abs(val.imag) <= tol.expectation_imag:
         raise InternalConsistencyError(
             f"expectation has imaginary residue {val.imag:.3e}"
         )
@@ -264,23 +267,24 @@ def marginal_probability(
 ) -> float:
     """Probability of reading the given bits on the given logical qubits.
 
-    Single-Pfaffian closed form: expanding the product of qubit
-    projectors (1 + s_i Z_i)/2 by Wick's theorem resums into
-    2^{-k} (prod s_i) Pf(Gamma_S + D), with D the block-diagonal
-    antisymmetric matrix of the outcome signs s_i = (-1)^{bit}.
+    Expanding the product of qubit projectors (1 + s_i Z_i)/2 by Wick's
+    theorem resums into 2^{-k} (prod s_i) Pf(Gamma_S + D), with D the
+    block-diagonal antisymmetric matrix of the outcome signs
+    s_i = (-1)^{bit}.  A probability is non-negative and Pf^2 = det, so
+    it equals sqrt|det((Gamma_S + D) / 2)|: one LAPACK determinant in
+    the log domain, which neither overflows nor cancels a k ln 2 term.
     """
-    k = len(q.qubits)
     idx = []
     for qu in q.qubits:
         idx.extend(_pair_indices(c, qu))
     sub = c.gamma[np.ix_(idx, idx)].copy()
-    sign = 1.0
-    for i, b in enumerate(q.bits):
-        s = 1.0 if b == 0 else -1.0
-        sign *= s
-        sub[2 * i, 2 * i + 1] += s
-        sub[2 * i + 1, 2 * i] -= s
-    prob = (0.5**k) * sign * linalg.pfaffian(sub)
+    pairs = np.arange(0, len(idx), 2)
+    signs = 1.0 - 2.0 * np.asarray(q.bits, dtype=float)
+    sub[pairs, pairs + 1] += signs
+    sub[pairs + 1, pairs] -= signs
+    linalg.check_antisymmetric(sub)
+    _, logabsdet = np.linalg.slogdet(0.5 * sub)
+    prob = math.exp(0.5 * logabsdet)
     if not -tol.probability <= prob <= 1.0 + tol.probability:
         raise InternalConsistencyError(f"probability {prob} outside [0, 1]")
     return float(min(max(prob, 0.0), 1.0))

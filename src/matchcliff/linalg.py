@@ -2,6 +2,7 @@
 antisymmetric matrices."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ class Tolerances:
     purity: float = 1e-8
     probability: float = 1e-8
     expectation_imag: float = 1e-9
+    covariance_entry: float = 1e-9  # |gamma_jk| <= 1 + this
+    coefficient_imag: float = 1e-12  # quadratic Hamiltonian coefficients
+    restricted_imag: float = 1e-8  # Heisenberg-sum expectations
 
 
 TOL = Tolerances()
@@ -35,34 +39,53 @@ def check_antisymmetric(a: np.ndarray, tol: float = TOL.antisymmetry) -> np.ndar
     return a
 
 
-def pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> float:
-    """Pfaffian via Parlett-Reid tridiagonalization with partial pivoting.
+def slog_pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> tuple:
+    """(sign, log|Pf|) via Parlett-Reid tridiagonalization with partial
+    pivoting; the log of the pivot product cannot overflow.
 
-    Returns 0.0 for odd dimension; Pf of the empty 0x0 matrix is 1.
+    Returns (1.0, 0.0) for the empty 0x0 matrix and (0.0, -inf) for odd
+    order or a zero pivot.
     """
     a = check_antisymmetric(a, tol)
     a = 0.5 * (a - a.T)  # exact antisymmetry for the pivoted updates
     m = a.shape[0]
-    if m == 0:
-        return 1.0
     if m % 2 == 1:
-        return 0.0
-    pf = 1.0
+        return 0.0, -math.inf
+    sign, log = 1.0, 0.0
     for k in range(0, m - 1, 2):
         # pivot the largest entry of column k below the diagonal into row k+1
         kp = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
         if kp != k + 1:
             a[[k + 1, kp], :] = a[[kp, k + 1], :]
             a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
-            pf = -pf
-        if a[k, k + 1] == 0.0:
-            return 0.0
-        pf *= a[k, k + 1]
+            sign = -sign
+        pivot = float(a[k, k + 1])
+        if pivot == 0.0:
+            return 0.0, -math.inf
+        if pivot < 0.0:
+            sign = -sign
+        log += math.log(abs(pivot))
         if k + 2 < m:
-            tau = a[k, k + 2 :] / a[k, k + 1]
+            tau = a[k, k + 2 :] / pivot
             col = a[k + 2 :, k + 1]
             a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return float(pf)
+    return sign, log
+
+
+def pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> float:
+    """Pfaffian as sign * exp(log|Pf|) from slog_pfaffian.
+
+    Returns 0.0 for odd dimension; Pf of the empty 0x0 matrix is 1.
+    Raises ValueError when the value is not a finite float.
+    """
+    sign, log = slog_pfaffian(a, tol)
+    try:
+        value = sign * math.exp(log)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"Pfaffian is not a finite float: log|Pf| = {log:.6g}")
+    return value
 
 
 def expm_antisymmetric(

@@ -100,11 +100,44 @@ def layer_rotation(lay, n: int, frame: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
+    """A circuit with everything its queries share, computed once."""
+
     circuit: Circuit
     frame: str
     conj: CliffordTableau | None
     post: CliffordTableau | None
     rotations: tuple  # per body layer, in application order
+    post_inverse: CliffordTableau | None = None  # pulls Paulis back through post
+    conj_class: CliffordClass | None = None
+    # pi with C Z_q C^dag = Z_pi(q), for the swap and CZ+swap classes
+    qubit_perm: tuple | None = None
+    # C|input> = phase |bits>, for basis inputs under a basis-permuting C
+    input_action: tuple | None = None
+
+    # The restricted route's data is built on its first query, not while
+    # compiling: free circuits, whose dispatcher route is the covariance,
+    # would otherwise hold a 2n x 2n product they never read.
+
+    @functools.cached_property
+    def body_product(self) -> np.ndarray:
+        """S = R_L ... R_1 on the 2n logical Majoranas.  A body without
+        linear layers fixes the extended frame's ancilla pair, so there S
+        is the [2:, 2:] block of the product."""
+        m = 2 * self.circuit.n
+        s = np.eye(m + 2 if self.frame == EXTENDED else m)
+        for r in self.rotations:
+            s = r @ s
+        return s[-m:, -m:]
+
+    @functools.cached_property
+    def dressed(self) -> tuple:
+        """C^dag c_k C for each chain Majorana c_k, C the conjugation."""
+        n = self.circuit.n
+        majoranas = (chain_majorana(n, k) for k in range(2 * n))
+        if self.conj is None:
+            return tuple(majoranas)
+        inv_conj = tableau.invert(self.conj)
+        return tuple(inv_conj.conjugate_pauli(m) for m in majoranas)
 
 
 @functools.lru_cache(maxsize=256)
@@ -114,20 +147,29 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
         if isinstance(c.input, ProductInput) or c.has_linear()
         else STANDARD
     )
+    extra = {}
     conj = post = None
     if c.structure == "conjugated":
         conj = c.conjugation_tableau()
-        if c.has_linear() and tableau.classify(conj) == CliffordClass.GENERAL:
+        cls = tableau.classify(conj)
+        if c.has_linear() and cls == CliffordClass.GENERAL:
             raise CompileError(
                 "linear layers inside a generally conjugated circuit have no "
                 "supported algorithm"
             )
+        extra["conj_class"] = cls
+        if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
+            extra["qubit_perm"] = _tableau_qubit_permutation(conj)
+        if isinstance(c.input, BasisInput) and cls != CliffordClass.GENERAL:
+            bits, phase = tableau.basis_action(conj, c.input.bits)
+            extra["input_action"] = (tuple(int(b) for b in bits), phase)
     elif c.structure == "post_clifford":
         post = c.post_tableau()
+        extra["post_inverse"] = tableau.invert(post)
     rotations = tuple(
         layer_rotation(lay, c.n, frame) for lay in c.body_layers()
     )
-    return CompiledCircuit(c, frame, conj, post, rotations)
+    return CompiledCircuit(c, frame, conj, post, rotations, **extra)
 
 
 def body_covariance(cc: CompiledCircuit, inp=None) -> CovarianceMatrix:
@@ -179,9 +221,9 @@ def classify_circuit(c: Circuit) -> SimClass:
     return SimClass(frozenset({"PIBO", "CIBO", "CIbO", "CIPO", "PIPO", "PIpO"}))
 
 
-def _tableau_qubit_permutation(t: CliffordTableau) -> list:
+def _tableau_qubit_permutation(t: CliffordTableau) -> tuple:
     """pi with T Z_q T^dag = Z_pi(q), valid for the swap/CZ-swap classes."""
-    return [int(np.argmax(t.image_of_z(q).z)) for q in range(t.n)]
+    return tuple(int(np.argmax(t.image_of_z(q).z)) for q in range(t.n))
 
 
 def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> float:
@@ -190,7 +232,7 @@ def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> f
     if c.structure == "free":
         return gaussian.pauli_expectation(body_covariance(cc), p)
     if c.structure == "post_clifford":
-        q = tableau.invert(cc.post).conjugate_pauli(p)
+        q = cc.post_inverse.conjugate_pauli(p)
         return gaussian.pauli_expectation(body_covariance(cc), q)
     # conjugated: restricted-degree Heisenberg sum
     return restricted_pauli_expectation(c, p, d_max=d_max, _compiled=cc)
@@ -209,19 +251,19 @@ def run_marginal(
         raise UnsupportedQuery(
             "post-Clifford circuits are granted Pauli-expectation outputs only"
         )
-    cls = tableau.classify(cc.conj)
+    cls = cc.conj_class
     if cls == CliffordClass.GENERAL:
         raise UnsupportedQuery(
             "general conjugation admits no known reduction to a free-fermion "
             "marginal"
         )
+    pi = cc.qubit_perm
     if isinstance(c.input, ProductInput):
         if cls != CliffordClass.SWAP_ONLY:
             raise UnsupportedQuery(
                 "product inputs under CZ/permutation conjugation would "
                 "simulate magic-state circuits"
             )
-        pi = _tableau_qubit_permutation(cc.conj)
         angles = [None] * n
         for qu in range(n):
             angles[pi[qu]] = c.input.angles[qu]
@@ -230,11 +272,10 @@ def run_marginal(
             cov, MarginalQuery(tuple(pi[qu] for qu in q.qubits), q.bits)
         )
     # basis input
-    bits_in, phase_in = tableau.basis_action(cc.conj, c.input.bits)
+    bits_in, phase_in = cc.input_action
     weight = (phase_in * np.conj(phase_in)).real if track_phases else 1.0
     if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
-        pi = _tableau_qubit_permutation(cc.conj)
-        cov = body_covariance(cc, BasisInput(tuple(int(b) for b in bits_in)))
+        cov = body_covariance(cc, BasisInput(bits_in))
         prob = gaussian.marginal_probability(
             cov, MarginalQuery(tuple(pi[qu] for qu in q.qubits), q.bits)
         )
@@ -251,7 +292,7 @@ def run_marginal(
     bits_out, phase_out = tableau.basis_action(cc.conj, full)
     if track_phases:
         weight *= (phase_out * np.conj(phase_out)).real
-    cov = body_covariance(cc, BasisInput(tuple(int(b) for b in bits_in)))
+    cov = body_covariance(cc, BasisInput(bits_in))
     prob = gaussian.marginal_probability(
         cov, MarginalQuery(tuple(range(n)), tuple(int(b) for b in bits_out))
     )
@@ -306,7 +347,7 @@ def restricted_pauli_expectation(
     cc = _compiled if _compiled is not None else compile_circuit(c)
     if c.structure not in ("conjugated", "free"):
         raise UnsupportedQuery("restricted path needs a conjugated or free circuit")
-    if cc.frame == EXTENDED and c.has_linear():
+    if c.has_linear():
         raise UnsupportedQuery("restricted path does not cover linear layers")
     n = c.n
     conj = cc.conj if cc.conj is not None else CliffordTableau.identity(n)
@@ -318,13 +359,7 @@ def restricted_pauli_expectation(
         )
     if d == 0:
         return float((mu * _input_pauli_expectation(c.input, PauliString.identity(n))).real)
-    # body rotations in the standard frame regardless of input kind
-    rots = [layer_rotation(lay, n, STANDARD) for lay in c.body_layers()]
-    s = np.eye(2 * n)
-    for r in rots:
-        s = r @ s
-    inv_conj = tableau.invert(conj)
-    dressed = [inv_conj.conjugate_pauli(chain_majorana(n, k)) for k in range(2 * n)]
+    s, dressed = cc.body_product, cc.dressed
     total = 0.0 + 0.0j
     for js in itertools.product(range(2 * n), repeat=d):
         w = 1.0
@@ -339,7 +374,7 @@ def restricted_pauli_expectation(
             mono = mono * dressed[j]
         total += w * _input_pauli_expectation(c.input, mono)
     val = mu * total
-    if abs(val.imag) > 1e-8:
+    if not abs(val.imag) <= linalg.TOL.restricted_imag:
         raise gaussian.InternalConsistencyError(
             f"restricted expectation has imaginary residue {val.imag:.3e}"
         )

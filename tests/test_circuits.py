@@ -151,3 +151,10 @@ def test_quadratic_layer_checks_antisymmetry():
             (QuadraticLayer(tuple(map(tuple, h))),),
             "free",
         )
+
+
+def test_quadratic_layer_with_nan_is_refused():
+    h = np.zeros((4, 4))
+    h[0, 1], h[1, 0] = np.nan, np.nan
+    with pytest.raises(CircuitParseError, match="antisymmetric"):
+        Circuit(2, BasisInput((0, 0)), (QuadraticLayer(tuple(map(tuple, h))),), "free")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matchcliff import gaussian, oracle
+from matchcliff import gaussian, linalg, oracle
 from matchcliff.encodings import jordan_wigner
 from matchcliff.gaussian import (
     CovarianceMatrix,
@@ -151,3 +153,40 @@ def test_marginal_distribution_normalizes():
             for bits in itertools.product((0, 1), repeat=len(qubits))
         )
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
+    """sqrt|det((Gamma_S + D) / 2)| against 2^-k prod s_i Pf(Gamma_S + D),
+    whose sign the determinant form drops: the signed value is >= 0."""
+    rng = np.random.default_rng(seed)
+    bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    h = rng.normal(size=(2 * n, 2 * n)) * scale
+    cov = evolve(init_covariance(BasisInput(bits)), expm_antisymmetric(h - h.T))
+    k = int(rng.integers(1, n + 1))
+    qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+    # mostly the likelier outcome per qubit, so the products stay sizeable
+    likely = [int(cov.gamma[2 * q, 2 * q + 1] < 0) for q in qubits]
+    out = tuple(b ^ int(f) for b, f in zip(likely, rng.random(k) < 0.1))
+    idx = [i for q in qubits for i in (2 * q, 2 * q + 1)]
+    sub = cov.gamma[np.ix_(idx, idx)].copy()
+    signs = [1.0 - 2.0 * b for b in out]
+    for i, s in enumerate(signs):
+        sub[2 * i, 2 * i + 1] += s
+        sub[2 * i + 1, 2 * i] -= s
+    signed = 0.5**k * np.prod(signs) * linalg.pfaffian(sub)
+    assert signed >= -1e-12
+    got = marginal_probability(cov, MarginalQuery(qubits, out))
+    assert abs(got - signed) <= 1e-10
+
+
+def test_empty_marginal_is_one():
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(6, 6))
+    cov = evolve(init_covariance(BasisInput((1, 0, 1))), expm_antisymmetric(h - h.T))
+    assert marginal_probability(cov, MarginalQuery((), ())) == 1.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from matchcliff import linalg
 
@@ -80,3 +81,42 @@ def test_guards_reject_nan_and_overflow():
     h[0, 1], h[1, 0] = 1e200, -1e200
     with pytest.raises(ValueError, match="non-finite"):
         linalg.expm_antisymmetric(h)
+
+
+def schur_pfaffian(a):
+    """(sign, log|Pf|) from the real Schur form a = Z T Z^T: T is
+    block-diagonal with 2x2 blocks, so Pf(a) = det(Z) prod_i T[2i, 2i+1]."""
+    t, z = scipy.linalg.schur(a, output="real")
+    pivots = np.diag(t, 1)[::2]
+    sign = np.sign(np.linalg.det(z)) * np.prod(np.sign(pivots))
+    return sign, float(np.sum(np.log(np.abs(pivots))))
+
+
+def test_slog_pfaffian_matches_schur_reference():
+    rng = np.random.default_rng(3)
+    for m in (2, 4, 6, 10, 16, 24, 32, 40):
+        for _ in range(3):
+            a = random_antisymmetric(rng, m)
+            sign, log = linalg.slog_pfaffian(a)
+            want_sign, want_log = schur_pfaffian(a)
+            assert sign == want_sign
+            assert log == pytest.approx(want_log, rel=1e-10, abs=1e-10)
+            assert linalg.pfaffian(a) == pytest.approx(sign * np.exp(log), rel=1e-12)
+
+
+def test_slog_pfaffian_does_not_overflow():
+    m = 700
+    a = np.zeros((m, m))
+    for k in range(0, m, 2):
+        a[k, k + 1], a[k + 1, k] = 10.0, -10.0
+    sign, log = linalg.slog_pfaffian(a)
+    assert sign == 1.0
+    assert log == pytest.approx(350 * np.log(10.0), rel=1e-12)
+    with pytest.raises(ValueError, match="not a finite float"):
+        linalg.pfaffian(a)
+
+
+def test_slog_pfaffian_edge_cases():
+    assert linalg.slog_pfaffian(np.zeros((0, 0))) == (1.0, 0.0)
+    assert linalg.slog_pfaffian(np.zeros((3, 3))) == (0.0, -np.inf)
+    assert linalg.slog_pfaffian(np.zeros((4, 4))) == (0.0, -np.inf)

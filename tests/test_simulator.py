@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from matchcliff import f2, oracle, simulator
+from matchcliff import f2, oracle, simulator, tableau
 from matchcliff.circuits import (
     BasisInput,
     Circuit,
@@ -9,7 +11,9 @@ from matchcliff.circuits import (
     LinearLayer,
     MatchgateLayer,
     ProductInput,
+    QuadraticLayer,
 )
+from matchcliff.encodings import STANDARD, chain_majorana
 from matchcliff.gaussian import MarginalQuery
 from matchcliff.pauli import PauliString
 from matchcliff.simulator import (
@@ -19,6 +23,8 @@ from matchcliff.simulator import (
     gate_matrix_from_blocks,
     ghz4_gadget,
     is_valid_gate_pair,
+    compile_circuit,
+    layer_rotation,
     restricted_pauli_expectation,
     run_expectation,
     run_marginal,
@@ -296,3 +302,64 @@ def test_ghz_gadget_shape():
     assert g.circuit.structure == "conjugated"
     assert g.postselect_bits == (0, 0)
     assert len(g.postselect_qubits) == 2
+
+
+def test_full_length_marginal_does_not_overflow():
+    # Pf(Gamma_S + D) = 2^1100 for the all-zeros outcome
+    n = 1100
+    c = Circuit(n, BasisInput((0,) * n), (), "free")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_marginal(c, MarginalQuery(tuple(range(n)), (0,) * n)) == 1.0
+        flipped = (0,) * 17 + (1,) + (0,) * (n - 18)
+        assert run_marginal(c, MarginalQuery(tuple(range(n)), flipped)) == 0.0
+
+
+def test_marginal_chain_rule_at_n256():
+    rng = np.random.default_rng(12)
+    n = 256
+    h = rng.normal(size=(2 * n, 2 * n)) * (0.03 / np.sqrt(n))
+    c = Circuit(
+        n, random_basis_input(rng, n), (QuadraticLayer(tuple(map(tuple, h - h.T))),), "free"
+    )
+    gamma = simulator.body_covariance(compile_circuit(c)).gamma
+    qubits = tuple(int(q) for q in rng.choice(n, size=n // 2, replace=False))
+    bits = tuple(int(gamma[2 * q, 2 * q + 1] < 0) for q in qubits)
+    extra = next(q for q in range(n) if q not in qubits)
+    p = run_marginal(c, MarginalQuery(qubits, bits))
+    split = [run_marginal(c, MarginalQuery(qubits + (extra,), bits + (b,))) for b in (0, 1)]
+    assert p > 0.01 and min(split) > 0.0
+    assert sum(split) == pytest.approx(p, rel=1e-9)
+
+
+def test_compiled_clifford_data_matches_a_rebuild():
+    rng = np.random.default_rng(13)
+    n = 4
+    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+        gates = random_clifford_gates(rng, n, 5, names=("H", "S", "CNOT", "SWAP"))
+        c = conjugated_circuit(rng, n, inp, gates, body_count=4)
+        cc = compile_circuit(c)
+        s = np.eye(2 * n)
+        for lay in c.body_layers():
+            s = layer_rotation(lay, n, STANDARD) @ s
+        assert np.max(np.abs(cc.body_product - s)) <= 1e-12
+        conj = c.conjugation_tableau()
+        inv = tableau.invert(conj)
+        assert cc.dressed == tuple(
+            inv.conjugate_pauli(chain_majorana(n, k)) for k in range(2 * n)
+        )
+        assert cc.conj_class == tableau.classify(conj)
+
+        post = Circuit(n, inp, tuple(c.body_layers()) + tuple(gates), "post_clifford")
+        assert compile_circuit(post).post_inverse == tableau.invert(post.post_tableau())
+
+        swaps = conjugated_circuit(
+            rng, n, inp, random_clifford_gates(rng, n, 4, names=("SWAP",))
+        )
+        pi = compile_circuit(swaps).qubit_perm
+        t = swaps.conjugation_tableau()
+        for q in range(n):
+            assert t.image_of_z(q) == PauliString.single(n, pi[q], "Z")
+        if isinstance(inp, BasisInput):
+            bits, phase = tableau.basis_action(t, inp.bits)
+            assert compile_circuit(swaps).input_action == (tuple(bits), phase)
