@@ -93,7 +93,23 @@ class Circuit:
             raise CircuitParseError("input size does not match n")
         for lay in self.layers:
             _check_layer(lay, self.n)
-        self.split_blocks()  # structural validation
+        # the split and block tableaux that validation builds are kept for
+        # compile and classify, which would otherwise rebuild them
+        leading, body, trailing = _split_blocks(self.layers, self.structure)
+        conj = post = None
+        if self.structure == "conjugated":
+            conj = clifford_block_tableau(self.n, leading)
+            post = clifford_block_tableau(self.n, trailing)
+            if tableau.compose(post, conj).images != CliffordTableau.identity(self.n).images:
+                raise CircuitParseError(
+                    "conjugated circuits need the trailing Clifford block to invert "
+                    "the leading one"
+                )
+        elif self.structure == "post_clifford":
+            post = clifford_block_tableau(self.n, trailing)
+        object.__setattr__(self, "_blocks", (leading, body, trailing))
+        object.__setattr__(self, "_conj", conj)
+        object.__setattr__(self, "_post", post)
         # the compile and covariance caches hash a circuit on every query;
         # a large quadratic layer makes that cost as much as the query
         object.__setattr__(
@@ -106,52 +122,24 @@ class Circuit:
     def split_blocks(self) -> tuple:
         """(leading Clifford layers, body layers, trailing Clifford layers)
         per the declared structure."""
-        lays = list(self.layers)
-        is_cl = [isinstance(l, CliffordLayer) for l in lays]
-        if self.structure == "free":
-            if any(is_cl):
-                raise CircuitParseError("free circuits admit no Clifford layers")
-            return (), tuple(lays), ()
-        if self.structure == "post_clifford":
-            cut = len(lays)
-            while cut > 0 and is_cl[cut - 1]:
-                cut -= 1
-            if any(is_cl[:cut]):
-                raise CircuitParseError(
-                    "post_clifford circuits allow Cliffords only at the end"
-                )
-            return (), tuple(lays[:cut]), tuple(lays[cut:])
-        # conjugated
-        lead = 0
-        while lead < len(lays) and is_cl[lead]:
-            lead += 1
-        cut = len(lays)
-        while cut > lead and is_cl[cut - 1]:
-            cut -= 1
-        if any(is_cl[lead:cut]):
-            raise CircuitParseError(
-                "conjugated circuits need a contiguous Clifford-body-Clifford split"
-            )
-        leading, body, trailing = lays[:lead], lays[lead:cut], lays[cut:]
-        c = clifford_block_tableau(self.n, leading)
-        d = clifford_block_tableau(self.n, trailing)
-        if tableau.compose(d, c).images != CliffordTableau.identity(self.n).images:
-            raise CircuitParseError(
-                "conjugated circuits need the trailing Clifford block to invert "
-                "the leading one"
-            )
-        return tuple(leading), tuple(body), tuple(trailing)
+        return self._blocks
 
     def conjugation_tableau(self) -> CliffordTableau:
-        leading, _, _ = self.split_blocks()
-        return clifford_block_tableau(self.n, leading)
+        """Tableau of the leading Clifford block (the identity when there
+        is none)."""
+        if self._conj is None:
+            return CliffordTableau.identity(self.n)
+        return self._conj
 
     def post_tableau(self) -> CliffordTableau:
-        _, _, trailing = self.split_blocks()
-        return clifford_block_tableau(self.n, trailing)
+        """Tableau of the trailing Clifford block (the identity when there
+        is none)."""
+        if self._post is None:
+            return CliffordTableau.identity(self.n)
+        return self._post
 
     def body_layers(self) -> tuple:
-        return self.split_blocks()[1]
+        return self._blocks[1]
 
     def has_linear(self) -> bool:
         return any(isinstance(l, LinearLayer) for l in self.layers)
@@ -160,6 +148,38 @@ class Circuit:
 def clifford_block_tableau(n: int, layers) -> CliffordTableau:
     gates = [(l.gate, *l.qubits) for l in layers]
     return tableau.from_gates(n, gates)
+
+
+def _split_blocks(layers, structure: str) -> tuple:
+    """(leading Clifford layers, body layers, trailing Clifford layers)
+    per the declared structure, or CircuitParseError."""
+    lays = list(layers)
+    is_cl = [isinstance(l, CliffordLayer) for l in lays]
+    if structure == "free":
+        if any(is_cl):
+            raise CircuitParseError("free circuits admit no Clifford layers")
+        return (), tuple(lays), ()
+    if structure == "post_clifford":
+        cut = len(lays)
+        while cut > 0 and is_cl[cut - 1]:
+            cut -= 1
+        if any(is_cl[:cut]):
+            raise CircuitParseError(
+                "post_clifford circuits allow Cliffords only at the end"
+            )
+        return (), tuple(lays[:cut]), tuple(lays[cut:])
+    # conjugated
+    lead = 0
+    while lead < len(lays) and is_cl[lead]:
+        lead += 1
+    cut = len(lays)
+    while cut > lead and is_cl[cut - 1]:
+        cut -= 1
+    if any(is_cl[lead:cut]):
+        raise CircuitParseError(
+            "conjugated circuits need a contiguous Clifford-body-Clifford split"
+        )
+    return tuple(lays[:lead]), tuple(lays[lead:cut]), tuple(lays[cut:])
 
 
 def _check_layer(lay, n: int):

@@ -9,6 +9,7 @@ query.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,6 +182,7 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_INPUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="matchcliff",

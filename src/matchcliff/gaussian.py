@@ -139,32 +139,30 @@ def pauli_terms_to_h(terms, n: int) -> np.ndarray:
     return h
 
 
-def evolve(c: CovarianceMatrix, r: np.ndarray, tol: Tolerances = TOL) -> CovarianceMatrix:
-    """gamma <- R gamma R^T for a Majorana rotation R."""
-    r = linalg.check_rotation(np.asarray(r, dtype=float), tol.orthogonality)
-    if r.shape[0] != c.gamma.shape[0]:
-        raise FrameworkError("rotation dimension mismatch")
-    if c.framework == EXTENDED:
-        dev = max(
-            np.max(np.abs(r[0, 1:])), np.max(np.abs(r[1:, 0])), abs(r[0, 0] - 1.0)
-        )
-        if not dev <= tol.orthogonality:
-            raise FrameworkError(
-                "extended-framework rotations must leave the first Majorana fixed"
-            )
-    return CovarianceMatrix(r @ c.gamma @ r.T, c.framework, c.n)
-
-
-def evolve_by_terms(c: CovarianceMatrix, terms) -> CovarianceMatrix:
-    """Evolve by exp(-i H) with H a sum of (coef, PauliString) terms
-    quadratic in the chain form of the covariance's frame (n + 1 qubits
-    in the extended framework)."""
-    h = pauli_terms_to_h(terms, c.gamma.shape[0] // 2)
-    return evolve(c, linalg.expm_antisymmetric(h))
-
-
-def _embed_terms(terms):
-    return [(coef, embed_l12(p)) for coef, p in terms]
+def evolve(c: CovarianceMatrix, rotations, tol: Tolerances = TOL) -> CovarianceMatrix:
+    """gamma <- S gamma S^T, S = R_L ... R_1 the product of the Majorana
+    rotations given as blocks (offset, R_i) in application order; R_i
+    rotates Majoranas offset .. offset + len(R_i) - 1.  A block of order
+    k costs O(m k) on the m x m covariance."""
+    m = c.gamma.shape[0]
+    blocks = []
+    for offset, r in rotations:
+        r = linalg.check_rotation(np.asarray(r, dtype=float), tol.orthogonality)
+        k = r.shape[0]
+        if r.shape != (k, k) or not 0 <= offset <= m - k:
+            raise FrameworkError("rotation block does not fit the covariance")
+        if c.framework == EXTENDED and offset == 0:
+            e0 = np.eye(k)[0]
+            dev = max(np.max(np.abs(r[0] - e0)), np.max(np.abs(r[:, 0] - e0)))
+            if not dev <= tol.orthogonality:
+                raise FrameworkError(
+                    "extended-framework rotations must leave the first Majorana fixed"
+                )
+        blocks.append((offset, r))
+    g = linalg.rotate_rows(np.array(c.gamma), blocks)  # S gamma
+    # gamma S^T = -(S gamma)^T, copied so that its rows are contiguous
+    g = linalg.rotate_rows(np.ascontiguousarray(-g.T), blocks)
+    return CovarianceMatrix(g, c.framework, c.n)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -172,50 +170,41 @@ def product_state_covariance(angles) -> CovarianceMatrix:
     """Extended-framework covariance of the product state with per-qubit
     angles (theta, phi): cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
-    Built from the all-zeros state by Gaussian rotations alone: rotate
-    logical qubit 1 into the desired local state (the linear generator
-    is quadratic in the extended frame), then move it up the chain with
-    fermionic-SWAP gates, farthest qubit first.
+    In closed form from the Bloch vectors (x, y, z) = (sin theta cos phi,
+    sin theta sin phi, cos theta), the ancilla counting as a site before
+    the logical qubits with (x, y, z) = (1, 0, prod of all z).  For sites
+    a < b, with P the product of z over the sites strictly between them,
+        gamma[2a, 2b] = -y_a P x_b      gamma[2a, 2b+1] = -y_a P y_b
+        gamma[2a+1, 2b] = x_a P x_b     gamma[2a+1, 2b+1] = x_a P y_b
+    and gamma[2a, 2a+1] = z_a.  Majorana 0 pairs with the parity: for
+    logical qubit j, with A the product of z over the qubits after j,
+        gamma[0, 2j+2] = -y_j A         gamma[0, 2j+3] = x_j A.
+    Every product is cumulative, never a quotient, since z = 0 at
+    theta = pi/2.
     """
     n = len(angles)
-    cov = CovarianceMatrix(_basis_blocks([0] * (n + 1)), EXTENDED, n)
-    fswap_coef = np.pi / 4.0
-    for q in range(n - 1, -1, -1):
-        theta, phi = angles[q]
-        y1 = PauliString.single(n, 0, "Y")  # linear in the chain frame
-        z1 = PauliString.single(n, 0, "Z")
-        if theta != 0.0:
-            cov = evolve(
-                cov,
-                linalg.expm_antisymmetric(
-                    pauli_terms_to_h(_embed_terms([(theta / 2.0, y1)]), n + 1)
-                ),
-            )
-        if phi != 0.0:
-            cov = evolve(
-                cov,
-                linalg.expm_antisymmetric(
-                    pauli_terms_to_h(_embed_terms([(phi / 2.0, z1)]), n + 1)
-                ),
-            )
-        for j in range(q):  # fSWAP chain: logical (j, j+1)
-            xx = PauliString.single(n, j, "X") * PauliString.single(n, j + 1, "X")
-            yy = PauliString.single(n, j, "Y") * PauliString.single(n, j + 1, "Y")
-            zj = PauliString.single(n, j, "Z")
-            zj1 = PauliString.single(n, j + 1, "Z")
-            terms = [
-                (fswap_coef, yy),
-                (fswap_coef, xx),
-                (fswap_coef, zj),
-                (fswap_coef, zj1),
-            ]
-            cov = evolve(
-                cov,
-                linalg.expm_antisymmetric(
-                    pauli_terms_to_h(_embed_terms(terms), n + 1)
-                ),
-            )
-    return cov
+    theta, phi = np.asarray(angles, dtype=float).reshape(n, 2).T
+    cz = np.cos(theta)
+    x = np.concatenate([[1.0], np.sin(theta) * np.cos(phi)])
+    y = np.concatenate([[0.0], np.sin(theta) * np.sin(phi)])
+    z = np.concatenate([[np.prod(cz)], cz])
+    sites = np.arange(n + 1)
+    later = sites[None, :] > sites[:, None]
+    # between[a, b] = prod of z_l over a < l < b, zero unless a < b
+    run = np.cumprod(np.where(later, z[None, :], 1.0), axis=1)
+    between = np.zeros((n + 1, n + 1))
+    between[:, 1:] = run[:, :-1]
+    between *= later
+    g = np.zeros((2 * n + 2, 2 * n + 2))
+    g[0::2, 0::2] = -np.outer(y, x) * between
+    g[0::2, 1::2] = -np.outer(y, y) * between + np.diag(z)
+    g[1::2, 0::2] = np.outer(x, x) * between
+    g[1::2, 1::2] = np.outer(x, y) * between
+    after = np.ones(n)
+    after[:-1] = np.cumprod(cz[::-1])[::-1][1:]
+    g[0, 2::2] = -y[1:] * after
+    g[0, 3::2] = x[1:] * after
+    return CovarianceMatrix(g - g.T, EXTENDED, n)
 
 
 def monomial_expectation(c: CovarianceMatrix, indices) -> float:

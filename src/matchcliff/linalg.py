@@ -1,5 +1,5 @@
-"""Dense real kernels: Pfaffians and orthogonal exponentials of
-antisymmetric matrices."""
+"""Dense real kernels: Pfaffians, orthogonal exponentials of
+antisymmetric matrices and block rotations."""
 from __future__ import annotations
 
 import math
@@ -104,6 +104,16 @@ def expm_antisymmetric(
         u, _, vt = np.linalg.svd(r)
         r = u @ vt
     return r
+
+
+def rotate_rows(a: np.ndarray, blocks) -> np.ndarray:
+    """a <- R_L ... R_1 a in place and returned, for the blocks
+    (offset, R_i) in application order: R_i rotates rows offset ..
+    offset + len(R_i) - 1 and fixes the others."""
+    for offset, r in blocks:
+        rows = slice(offset, offset + r.shape[0])
+        a[rows] = r @ a[rows]
+    return a
 
 
 def check_rotation(r: np.ndarray, tol: float = TOL.orthogonality) -> np.ndarray:

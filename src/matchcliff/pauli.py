@@ -161,9 +161,6 @@ class PauliString:
     def times_i(self) -> "PauliString":
         return PauliString(self.x, self.z, self.phase_exp + 1)
 
-    def adjoint(self) -> "PauliString":
-        return PauliString(self.x, self.z, -self.phase_exp + 2 * self.y_count)
-
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise PauliLengthMismatch(f"{self.n} != {other.n}")
@@ -198,7 +195,3 @@ class PauliString:
         for c in self.letters():
             m = np.kron(m, _MATS[c])
         return m
-
-
-def weight(p: PauliString) -> int:
-    return p.weight()

@@ -73,6 +73,22 @@ def matchgate_terms(n: int, k: int, coeffs) -> list:
     ]
 
 
+def matchgate_generator(coeffs) -> np.ndarray:
+    """4x4 antisymmetric generator of a matchgate on (k, k+1): the block
+    of pauli_terms_to_h(matchgate_terms(...)) on Majoranas 2k..2k+3, or
+    2k+2..2k+5 in the extended frame, zero everywhere else.  The block is
+    the same for every k and in both frames."""
+    a0, a1, b1, b2, d1, d2 = coeffs
+    return 0.5 * np.array(
+        [
+            [0.0, -d1, b1, a0],
+            [d1, 0.0, -a1, -b2],
+            [-b1, a1, 0.0, -d2],
+            [-a0, b2, d2, 0.0],
+        ]
+    )
+
+
 def layer_terms(lay, n: int) -> list:
     """Hamiltonian terms of one non-Clifford layer, on the logical qubits."""
     if isinstance(lay, MatchgateLayer):
@@ -83,7 +99,7 @@ def layer_terms(lay, n: int) -> list:
 
 
 def layer_rotation(lay, n: int, frame: str) -> np.ndarray:
-    """Majorana rotation of exp(-i H_layer) in the given framework."""
+    """Dense Majorana rotation of exp(-i H_layer) in the given framework."""
     if isinstance(lay, QuadraticLayer):
         h = lay.h_matrix()
         if frame == EXTENDED:
@@ -106,13 +122,18 @@ class CompiledCircuit:
     frame: str
     conj: CliffordTableau | None
     post: CliffordTableau | None
-    rotations: tuple  # per body layer, in application order
+    # per body layer, in application order: (offset, R) with R rotating
+    # Majoranas offset .. offset + len(R) - 1; 4x4 for a matchgate, dense
+    # at offset 0 for a linear or quadratic layer
+    rotations: tuple
     post_inverse: CliffordTableau | None = None  # pulls Paulis back through post
     conj_class: CliffordClass | None = None
     # pi with C Z_q C^dag = Z_pi(q), for the swap and CZ+swap classes
     qubit_perm: tuple | None = None
     # C|input> = phase |bits>, for basis inputs under a basis-permuting C
     input_action: tuple | None = None
+    # (A, b) with C|x> = phase |A x + b mod 2>, for a basis-permuting C
+    basis_map: tuple | None = None
 
     # The restricted route's data is built on its first query, not while
     # compiling: free circuits, whose dispatcher route is the covariance,
@@ -125,9 +146,7 @@ class CompiledCircuit:
         is the [2:, 2:] block of the product."""
         m = 2 * self.circuit.n
         s = np.eye(m + 2 if self.frame == EXTENDED else m)
-        for r in self.rotations:
-            s = r @ s
-        return s[-m:, -m:]
+        return linalg.rotate_rows(s, self.rotations)[-m:, -m:]
 
     @functools.cached_property
     def dressed(self) -> tuple:
@@ -160,16 +179,28 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
         extra["conj_class"] = cls
         if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
             extra["qubit_perm"] = _tableau_qubit_permutation(conj)
-        if isinstance(c.input, BasisInput) and cls != CliffordClass.GENERAL:
-            bits, phase = tableau.basis_action(conj, c.input.bits)
-            extra["input_action"] = (tuple(int(b) for b in bits), phase)
+        if cls != CliffordClass.GENERAL:
+            # column j of A is the X part of C X_j C^dag; b is C's image of |0...0>
+            a = np.stack([conj.image_of_x(j).x for j in range(c.n)], axis=1)
+            zero_image, _ = tableau.basis_action(conj, (0,) * c.n)
+            extra["basis_map"] = (a, zero_image)
+            if isinstance(c.input, BasisInput):
+                bits, phase = tableau.basis_action(conj, c.input.bits)
+                extra["input_action"] = (tuple(int(b) for b in bits), phase)
     elif c.structure == "post_clifford":
         post = c.post_tableau()
         extra["post_inverse"] = tableau.invert(post)
-    rotations = tuple(
-        layer_rotation(lay, c.n, frame) for lay in c.body_layers()
-    )
+    rotations = tuple(_body_block(lay, c.n, frame) for lay in c.body_layers())
     return CompiledCircuit(c, frame, conj, post, rotations, **extra)
+
+
+def _body_block(lay, n: int, frame: str) -> tuple:
+    """(offset, R) of one body layer: a matchgate rotates only its four
+    Majoranas; other layers keep the dense rotation."""
+    if isinstance(lay, MatchgateLayer):
+        offset = 2 * lay.qubit + (2 if frame == EXTENDED else 0)
+        return offset, linalg.expm_antisymmetric(matchgate_generator(lay.coeffs))
+    return 0, layer_rotation(lay, n, frame)
 
 
 def body_covariance(cc: CompiledCircuit, inp=None) -> CovarianceMatrix:
@@ -189,9 +220,7 @@ def _body_covariance_cached(c: Circuit, inp) -> CovarianceMatrix:
             cov = gaussian.embed_basis_covariance(cov)
     else:
         cov = gaussian.product_state_covariance(inp.angles)
-    for r in cc.rotations:
-        cov = gaussian.evolve(cov, r)
-    return cov
+    return gaussian.evolve(cov, cc.rotations)
 
 
 def classify_circuit(c: Circuit) -> SimClass:
@@ -238,9 +267,10 @@ def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> f
     return restricted_pauli_expectation(c, p, d_max=d_max, _compiled=cc)
 
 
-def run_marginal(
-    c: Circuit, q: MarginalQuery, track_phases: bool = True
-) -> float:
+def run_marginal(c: Circuit, q: MarginalQuery) -> float:
+    """Probability of the bits on the qubits after the full circuit.  A
+    Clifford maps a basis state to a unit-modulus multiple of a basis
+    state, so its phases never weigh on a probability."""
     cc = compile_circuit(c)
     n = c.n
     if any(not 0 <= qu < n for qu in q.qubits):
@@ -271,32 +301,25 @@ def run_marginal(
         return gaussian.marginal_probability(
             cov, MarginalQuery(tuple(pi[qu] for qu in q.qubits), q.bits)
         )
-    # basis input
-    bits_in, phase_in = cc.input_action
-    weight = (phase_in * np.conj(phase_in)).real if track_phases else 1.0
-    if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
-        cov = body_covariance(cc, BasisInput(bits_in))
-        prob = gaussian.marginal_probability(
-            cov, MarginalQuery(tuple(pi[qu] for qu in q.qubits), q.bits)
-        )
-        return float(weight * prob)
-    # permutation class: only full-length queries survive the pullback
-    if len(q.qubits) != n:
+    # basis input; under the permutation class only full-length queries
+    # survive the pullback
+    if cls == CliffordClass.PERMUTATION and len(q.qubits) != n:
         raise UnsupportedQuery(
             "partial marginals under permutation conjugation pull back to "
             "sums of several projectors; only full-length outputs are granted"
         )
-    full = [0] * n
-    for qu, b in zip(q.qubits, q.bits):
-        full[qu] = b
-    bits_out, phase_out = tableau.basis_action(cc.conj, full)
-    if track_phases:
-        weight *= (phase_out * np.conj(phase_out)).real
-    cov = body_covariance(cc, BasisInput(bits_in))
-    prob = gaussian.marginal_probability(
-        cov, MarginalQuery(tuple(range(n)), tuple(int(b) for b in bits_out))
+    cov = body_covariance(cc, BasisInput(cc.input_action[0]))
+    if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
+        return gaussian.marginal_probability(
+            cov, MarginalQuery(tuple(pi[qu] for qu in q.qubits), q.bits)
+        )
+    full = np.zeros(n, dtype=np.int64)
+    full[list(q.qubits)] = q.bits
+    a, b = cc.basis_map
+    bits_out = (a @ full + b) & 1
+    return gaussian.marginal_probability(
+        cov, MarginalQuery(tuple(range(n)), tuple(int(v) for v in bits_out))
     )
-    return float(weight * prob)
 
 
 def _product_site_expectations(angles) -> list:

@@ -86,10 +86,6 @@ class CliffordTableau:
         return True
 
 
-def identity_tableau(n: int) -> CliffordTableau:
-    return CliffordTableau.identity(n)
-
-
 def _elementary_images(n: int, gate: str, qubits: tuple) -> dict:
     """Nontrivial conjugation images of one generator gate, as a map
     from (kind, qubit) to PauliString, kind in {"X","Z"}."""

@@ -167,3 +167,22 @@ def test_oracle_check_on_conjugated_fixture(capsys):
     )
     assert code == 0
     assert parse_kv(out)["status"] == "pass"
+
+
+def test_consecutive_calls_share_one_parser(capsys):
+    from matchcliff import circuits, simulator
+    from matchcliff.gaussian import MarginalQuery
+    from matchcliff.pauli import PauliString
+
+    path = f"{FIXTURES}/free_n3.json"
+    circ = circuits.load(path)
+    code, out, _ = run_cli(capsys, "marginal", path, "--qubits", "0,2", "--bits", "10", "--json")
+    assert code == 0
+    want = simulator.run_marginal(circ, MarginalQuery((0, 2), (1, 0)))
+    assert json.loads(out)["probability"] == pytest.approx(want, abs=1e-12)
+    code, out, _ = run_cli(capsys, "expect", path, "--pauli", "ZIZ")
+    assert code == 0
+    pairs = parse_kv(out)  # key=value: the first call's --json did not stick
+    want = simulator.run_expectation(circ, PauliString.from_string("ZIZ"))
+    assert float(pairs["value"]) == pytest.approx(want, abs=1e-12)
+    assert cli.build_parser() is cli.build_parser()

@@ -9,7 +9,6 @@ from matchcliff.gaussian import (
     CovarianceMatrix,
     MarginalQuery,
     evolve,
-    evolve_by_terms,
     init_covariance,
     marginal_probability,
     pauli_expectation,
@@ -65,7 +64,7 @@ def test_marginals_match_oracle_after_evolution():
             for j in range(2 * n)
             if i != j
         ]
-        cov = evolve(init_covariance(BasisInput((0,) * n)), expm_antisymmetric(h))
+        cov = evolve(init_covariance(BasisInput((0,) * n)), [(0, expm_antisymmetric(h))])
         st = oracle.basis_state(n, (0,) * n)
         hmat = sum(
             1j * h[i, j] * jw.majoranas[i].dense() @ jw.majoranas[j].dense()
@@ -88,7 +87,7 @@ def test_evolution_preserves_purity():
     for _ in range(5):
         h = rng.normal(size=(2 * n, 2 * n))
         h = h - h.T
-        c = evolve(c, expm_antisymmetric(h))
+        c = evolve(c, [(0, expm_antisymmetric(h))])
         assert c.purity_defect() <= 1e-8
 
 
@@ -144,7 +143,7 @@ def test_marginal_distribution_normalizes():
     n = 4
     h = rng.normal(size=(2 * n, 2 * n)) * 0.5
     h = h - h.T
-    cov = evolve(init_covariance(BasisInput((0, 1, 1, 0))), expm_antisymmetric(h))
+    cov = evolve(init_covariance(BasisInput((0, 1, 1, 0))), [(0, expm_antisymmetric(h))])
     import itertools
 
     for qubits in ((2,), (0, 3), (1, 2, 3)):
@@ -167,7 +166,7 @@ def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
     rng = np.random.default_rng(seed)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
     h = rng.normal(size=(2 * n, 2 * n)) * scale
-    cov = evolve(init_covariance(BasisInput(bits)), expm_antisymmetric(h - h.T))
+    cov = evolve(init_covariance(BasisInput(bits)), [(0, expm_antisymmetric(h - h.T))])
     k = int(rng.integers(1, n + 1))
     qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
     # mostly the likelier outcome per qubit, so the products stay sizeable
@@ -188,5 +187,76 @@ def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
 def test_empty_marginal_is_one():
     rng = np.random.default_rng(5)
     h = rng.normal(size=(6, 6))
-    cov = evolve(init_covariance(BasisInput((1, 0, 1))), expm_antisymmetric(h - h.T))
+    cov = evolve(init_covariance(BasisInput((1, 0, 1))), [(0, expm_antisymmetric(h - h.T))])
     assert marginal_probability(cov, MarginalQuery((), ())) == 1.0
+
+
+def _random_rotation(rng, m):
+    h = rng.normal(size=(m, m))
+    return expm_antisymmetric(h - h.T)
+
+
+@given(
+    st.integers(min_value=2, max_value=32),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_block_evolve_equals_dense_conjugation(n, extended, seed):
+    rng = np.random.default_rng(seed)
+    start = init_covariance(BasisInput(tuple(int(b) for b in rng.integers(0, 2, size=n))))
+    if extended:
+        start = gaussian.embed_basis_covariance(start)
+    m = start.gamma.shape[0]
+    lo = 2 if extended else 0  # extended blocks leave the ancilla pair alone
+    blocks = [(int(rng.integers(lo, m - 3)), _random_rotation(rng, 4)) for _ in range(3 * n)]
+    dense = np.eye(m)
+    dense[lo:, lo:] = _random_rotation(rng, m - lo)
+    blocks.insert(n, (0, dense))
+    s = np.eye(m)
+    for off, r in blocks:
+        full = np.eye(m)
+        full[off : off + r.shape[0], off : off + r.shape[0]] = r
+        s = full @ s
+    got = evolve(start, blocks).gamma
+    assert np.max(np.abs(got - s @ start.gamma @ s.T)) <= 1e-12
+
+
+def test_evolve_refuses_blocks_that_break_the_frame():
+    rng = np.random.default_rng(6)
+    cov = gaussian.embed_basis_covariance(init_covariance(BasisInput((0, 1))))
+    with pytest.raises(gaussian.FrameworkError):
+        evolve(cov, [(0, _random_rotation(rng, 4))])  # moves Majorana 0
+    with pytest.raises(gaussian.FrameworkError):
+        evolve(cov, [(4, _random_rotation(rng, 4))])  # rows 4..7 of 6
+
+
+def _hermitian_majorana_monomials(n):
+    """Every Hermitian chain-form c_j and i c_j c_k on n qubits."""
+    cs = jordan_wigner(n).majoranas
+    yield from cs
+    for j in range(2 * n):
+        for k in range(j + 1, 2 * n):
+            yield (cs[j] * cs[k]).times_i()
+
+
+def test_closed_form_product_covariance_matches_oracle_on_degree_two():
+    rng = np.random.default_rng(7)
+    special = (0.0, np.pi / 2, np.pi)
+    for n in range(1, 9):
+        thetas = [special[q % 3] if q % 2 == 0 else rng.uniform(0, np.pi) for q in range(n)]
+        angles = tuple((float(t), float(rng.uniform(0, 2 * np.pi))) for t in thetas)
+        cov = product_state_covariance(angles)
+        st = oracle.product_state(angles)
+        for p in _hermitian_majorana_monomials(n):
+            want = oracle.expectation(st, p).real
+            assert abs(pauli_expectation(cov, p) - want) <= 1e-10, (n, str(p))
+
+
+def test_closed_form_product_covariance_is_pure_at_n256():
+    rng = np.random.default_rng(8)
+    n = 256
+    thetas = rng.choice([0.0, np.pi / 2, np.pi, 0.3, 2.0], size=n)
+    angles = tuple((float(t), float(p)) for t, p in zip(thetas, rng.uniform(0, 2 * np.pi, n)))
+    gamma = product_state_covariance(angles).gamma
+    assert np.max(np.abs(gamma @ gamma.T - np.eye(2 * n + 2))) <= 1e-12

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcliff import f2, oracle, simulator, tableau
 from matchcliff.circuits import (
@@ -13,7 +15,7 @@ from matchcliff.circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from matchcliff.encodings import STANDARD, chain_majorana
+from matchcliff.encodings import EXTENDED, STANDARD, chain_majorana
 from matchcliff.gaussian import MarginalQuery
 from matchcliff.pauli import PauliString
 from matchcliff.simulator import (
@@ -34,9 +36,11 @@ from conftest import (
     conjugated_circuit,
     random_basis_input,
     random_clifford_gates,
+    random_linear_layer,
     random_matchgate_layers,
     random_pauli_string,
     random_product_input,
+    random_quadratic_layer,
 )
 
 
@@ -363,3 +367,102 @@ def test_compiled_clifford_data_matches_a_rebuild():
         if isinstance(inp, BasisInput):
             bits, phase = tableau.basis_action(t, inp.bits)
             assert compile_circuit(swaps).input_action == (tuple(bits), phase)
+
+
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.data(),
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=6, max_size=6),
+    st.sampled_from((STANDARD, EXTENDED)),
+)
+@settings(max_examples=60, deadline=None)
+def test_matchgate_block_equals_dense_layer_rotation(n, data, coeffs, frame):
+    k = data.draw(st.integers(min_value=0, max_value=n - 2))
+    lay = MatchgateLayer(k, tuple(coeffs))
+    inp = BasisInput((0,) * n) if frame == STANDARD else ProductInput(((0.3, 0.1),) * n)
+    cc = compile_circuit(Circuit(n, inp, (lay,), "free"))
+    assert cc.frame == frame
+    ((offset, r),) = cc.rotations
+    assert offset == 2 * k + (2 if frame == EXTENDED else 0)
+    full = np.eye(2 * n + (2 if frame == EXTENDED else 0))
+    full[offset : offset + 4, offset : offset + 4] = r
+    assert np.max(np.abs(full - layer_rotation(lay, n, frame))) <= 1e-12
+
+
+def test_compiled_rotations_are_local_for_matchgates_only():
+    rng = np.random.default_rng(14)
+    n = 5
+    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+        body = (
+            random_matchgate_layers(rng, n, 4)
+            + [random_quadratic_layer(rng, n)]
+            + random_matchgate_layers(rng, n, 3)
+        )
+        for c in (
+            Circuit(n, inp, tuple(body), "free"),
+            Circuit(n, inp, tuple(body + [random_linear_layer(rng, n)]), "free"),
+        ):
+            cc = compile_circuit(c)
+            m = 2 * n + (2 if cc.frame == EXTENDED else 0)
+            for lay, (offset, r) in zip(c.body_layers(), cc.rotations):
+                if isinstance(lay, MatchgateLayer):
+                    assert r.shape == (4, 4)
+                else:
+                    assert (offset, r.shape) == (0, (m, m))
+
+
+def test_circuit_builds_each_clifford_block_once(monkeypatch):
+    built = []
+    from_gates = tableau.from_gates
+
+    def counted(n, gates):
+        built.append(len(gates))
+        return from_gates(n, gates)
+
+    monkeypatch.setattr(tableau, "from_gates", counted)
+    rng = np.random.default_rng(15)
+    n = 4
+    gates = random_clifford_gates(rng, n, 5)
+    c = conjugated_circuit(rng, n, random_basis_input(rng, n), gates)
+    post = Circuit(n, c.input, c.body_layers() + tuple(gates), "post_clifford")
+    assert len(built) == 3  # leading and trailing blocks, then the post block
+    for circ in (c, post):
+        compile_circuit(circ)
+        classify_circuit(circ)
+        circ.conjugation_tableau(), circ.post_tableau(), circ.body_layers()
+    assert len(built) == 3
+
+
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_compiled_basis_map_equals_basis_action(n, seed):
+    rng = np.random.default_rng(seed)
+    gates = random_clifford_gates(rng, n, 3 * n, names=("S", "CZ", "CNOT", "SWAP"))
+    c = conjugated_circuit(rng, n, random_basis_input(rng, n), gates, body_count=1)
+    cc = compile_circuit(c)
+    assert cc.conj_class != tableau.CliffordClass.GENERAL
+    a, b = cc.basis_map
+    for _ in range(4):
+        x = rng.integers(0, 2, size=n)
+        want, _ = tableau.basis_action(cc.conj, x)
+        assert np.array_equal((a @ x + b) & 1, want)
+
+
+def test_permutation_queries_read_the_compiled_map(monkeypatch):
+    rng = np.random.default_rng(16)
+    n = 4
+    gates = [CliffordLayer("CNOT", (0, 2)), CliffordLayer("S", (1,)), CliffordLayer("CNOT", (3, 1))]
+    c = conjugated_circuit(rng, n, random_basis_input(rng, n), gates)
+    compile_circuit(c)
+
+    def refuse(*args):
+        raise AssertionError("per-query basis action")
+
+    monkeypatch.setattr(tableau, "basis_action", refuse)
+    monkeypatch.setattr(tableau, "classify", refuse)
+    monkeypatch.setattr(f2, "solve", refuse)
+    ref = oracle.apply_circuit(c)
+    for _ in range(6):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        got = run_marginal(c, MarginalQuery(tuple(range(n)), bits))
+        assert abs(got - oracle.marginal(ref, tuple(range(n)), bits)) <= 1e-9
