@@ -100,7 +100,7 @@ class Circuit:
         if self.structure == "conjugated":
             conj = clifford_block_tableau(self.n, leading)
             post = clifford_block_tableau(self.n, trailing)
-            if tableau.compose(post, conj).images != CliffordTableau.identity(self.n).images:
+            if tableau.compose(post, conj) != CliffordTableau.identity(self.n):
                 raise CircuitParseError(
                     "conjugated circuits need the trailing Clifford block to invert "
                     "the leading one"

@@ -8,65 +8,52 @@ class SingularF2Matrix(ValueError):
     pass
 
 
+def _eliminate(aug: np.ndarray, cols: int) -> list:
+    """Gauss-Jordan elimination of ``aug`` in place, pivoting on its first
+    ``cols`` columns; returns the pivot columns in order."""
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == aug.shape[0]:
+            break
+        nonzero = np.flatnonzero(aug[r:, c])
+        if nonzero.size == 0:
+            continue
+        p = r + int(nonzero[0])
+        aug[[r, p]] = aug[[p, r]]
+        hit = aug[:, c].astype(bool)
+        hit[r] = False
+        aug[hit] ^= aug[r]
+        pivots.append(c)
+    return pivots
+
+
+def _solve_square(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with a @ X = rhs over GF(2), a square and invertible."""
+    m = a.shape[0]
+    aug = np.concatenate([np.asarray(a, dtype=np.uint8) & 1, rhs], axis=1)
+    pivots = _eliminate(aug, m)
+    if len(pivots) < m:
+        missing = next(c for c in range(m) if c >= len(pivots) or pivots[c] != c)
+        raise SingularF2Matrix(f"no pivot in column {missing}")
+    return aug[:, m:]
+
+
 def rank(a: np.ndarray) -> int:
     a = (np.asarray(a, dtype=np.uint8) & 1).copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_eliminate(a, a.shape[1]))
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b over GF(2); a must be square and invertible."""
-    a = (np.asarray(a, dtype=np.uint8) & 1).copy()
-    b = (np.asarray(b, dtype=np.uint8) & 1).copy()
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8) & 1
     m = a.shape[0]
     if a.shape[1] != m or b.shape[0] != m:
         raise ValueError("shape mismatch")
-    aug = np.concatenate([a, b.reshape(m, 1)], axis=1)
-    for c in range(m):
-        pivot = None
-        for i in range(c, m):
-            if aug[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularF2Matrix(f"no pivot in column {c}")
-        aug[[c, pivot]] = aug[[pivot, c]]
-        for i in range(m):
-            if i != c and aug[i, c]:
-                aug[i] ^= aug[c]
-    return aug[:, m]
+    return _solve_square(a, b.reshape(m, 1))[:, 0]
 
 
 def invert(a: np.ndarray) -> np.ndarray:
-    a = (np.asarray(a, dtype=np.uint8) & 1).copy()
-    m = a.shape[0]
-    aug = np.concatenate([a, np.eye(m, dtype=np.uint8)], axis=1)
-    for c in range(m):
-        pivot = None
-        for i in range(c, m):
-            if aug[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularF2Matrix(f"no pivot in column {c}")
-        aug[[c, pivot]] = aug[[pivot, c]]
-        for i in range(m):
-            if i != c and aug[i, c]:
-                aug[i] ^= aug[c]
-    return aug[:, m:]
+    a = np.asarray(a, dtype=np.uint8)
+    return _solve_square(a, np.eye(a.shape[0], dtype=np.uint8))

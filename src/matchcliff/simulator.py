@@ -152,11 +152,14 @@ class CompiledCircuit:
     def dressed(self) -> tuple:
         """C^dag c_k C for each chain Majorana c_k, C the conjugation."""
         n = self.circuit.n
-        majoranas = (chain_majorana(n, k) for k in range(2 * n))
+        majoranas = [chain_majorana(n, k) for k in range(2 * n)]
         if self.conj is None:
             return tuple(majoranas)
-        inv_conj = tableau.invert(self.conj)
-        return tuple(inv_conj.conjugate_pauli(m) for m in majoranas)
+        rows, phases = tableau.invert(self.conj).conjugate_rows(
+            np.stack([m.symplectic() for m in majoranas]),
+            [m.phase_exp for m in majoranas],
+        )
+        return tuple(PauliString(r[:n], r[n:], e) for r, e in zip(rows, phases))
 
 
 @functools.lru_cache(maxsize=256)
@@ -178,12 +181,9 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
             )
         extra["conj_class"] = cls
         if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
-            extra["qubit_perm"] = _tableau_qubit_permutation(conj)
+            extra["qubit_perm"] = tableau.qubit_permutation(conj)
         if cls != CliffordClass.GENERAL:
-            # column j of A is the X part of C X_j C^dag; b is C's image of |0...0>
-            a = np.stack([conj.image_of_x(j).x for j in range(c.n)], axis=1)
-            zero_image, _ = tableau.basis_action(conj, (0,) * c.n)
-            extra["basis_map"] = (a, zero_image)
+            extra["basis_map"] = tableau.basis_map(conj)
             if isinstance(c.input, BasisInput):
                 bits, phase = tableau.basis_action(conj, c.input.bits)
                 extra["input_action"] = (tuple(int(b) for b in bits), phase)
@@ -223,9 +223,20 @@ def _body_covariance_cached(c: Circuit, inp) -> CovarianceMatrix:
     return gaussian.evolve(cov, cc.rotations)
 
 
+def _conjugation_class(c: Circuit) -> CliffordClass:
+    """The class compile_circuit found, so a circuit is classified once
+    however often it is queried; a circuit that compile refuses (a linear
+    layer under a general conjugation, a non-finite body) is classified
+    directly."""
+    try:
+        return compile_circuit(c).conj_class
+    except ValueError:
+        return tableau.classify(c.conjugation_tableau())
+
+
 def classify_circuit(c: Circuit) -> SimClass:
     if c.structure == "conjugated":
-        cls = tableau.classify(c.conjugation_tableau())
+        cls = _conjugation_class(c)
         if cls == CliffordClass.SWAP_ONLY:
             return SimClass(frozenset({"PIBO", "CIBO", "CIbO", "PIpO"}))
         if cls == CliffordClass.CZ_SWAP:
@@ -248,11 +259,6 @@ def classify_circuit(c: Circuit) -> SimClass:
     if c.structure == "post_clifford":
         return SimClass(frozenset({"CIPO", "PIPO"}))
     return SimClass(frozenset({"PIBO", "CIBO", "CIbO", "CIPO", "PIPO", "PIpO"}))
-
-
-def _tableau_qubit_permutation(t: CliffordTableau) -> tuple:
-    """pi with T Z_q T^dag = Z_pi(q), valid for the swap/CZ-swap classes."""
-    return tuple(int(np.argmax(t.image_of_z(q).z)) for q in range(t.n))
 
 
 def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> float:
@@ -373,8 +379,7 @@ def restricted_pauli_expectation(
     if c.has_linear():
         raise UnsupportedQuery("restricted path does not cover linear layers")
     n = c.n
-    conj = cc.conj if cc.conj is not None else CliffordTableau.identity(n)
-    indices, mu = chain_decompose(conj.conjugate_pauli(p))
+    indices, mu = chain_decompose(p if cc.conj is None else cc.conj.conjugate_pauli(p))
     d = len(indices)
     if d > d_max:
         raise DegreeTooLarge(

@@ -186,3 +186,24 @@ def test_consecutive_calls_share_one_parser(capsys):
     want = simulator.run_expectation(circ, PauliString.from_string("ZIZ"))
     assert float(pairs["value"]) == pytest.approx(want, abs=1e-12)
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_queries_classify_the_circuit_once(capsys, monkeypatch):
+    from matchcliff import simulator, tableau
+
+    calls = []
+    classify = tableau.classify
+
+    def counted(t):
+        calls.append(t)
+        return classify(t)
+
+    monkeypatch.setattr(tableau, "classify", counted)
+    simulator.compile_circuit.cache_clear()
+    for _ in range(3):
+        code, out, _ = run_cli(
+            capsys, "marginal", f"{FIXTURES}/swap_conj_n3.json", "--qubits", "0,2", "--bits", "01"
+        )
+        assert code == 0
+        assert "PIBO" in parse_kv(out)["class"]
+    assert len(calls) == 1

@@ -466,3 +466,42 @@ def test_permutation_queries_read_the_compiled_map(monkeypatch):
         bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
         got = run_marginal(c, MarginalQuery(tuple(range(n)), bits))
         assert abs(got - oracle.marginal(ref, tuple(range(n)), bits)) <= 1e-9
+
+
+def test_clifford_data_builds_without_pauli_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("PauliString.__mul__ on the tableau path")
+
+    monkeypatch.setattr(PauliString, "__mul__", refuse)
+    rng = np.random.default_rng(17)
+    n = 6
+    blocks = (
+        random_clifford_gates(rng, n, 12),  # general
+        random_clifford_gates(rng, n, 12, names=("S", "CNOT", "CZ", "SWAP")),
+        random_clifford_gates(rng, n, 12, names=("CZ", "SWAP")),
+        random_clifford_gates(rng, n, 12, names=("SWAP",)),
+    )
+    for gates in blocks:
+        for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+            c = conjugated_circuit(rng, n, inp, gates, body_count=5)
+            cc = compile_circuit(c)
+            classify_circuit(c)
+            assert len(cc.dressed) == 2 * n
+            post = Circuit(n, inp, c.body_layers() + tuple(gates), "post_clifford")
+            compile_circuit(post)
+            classify_circuit(post)
+
+
+def test_classify_circuit_answers_when_compile_refuses():
+    rng = np.random.default_rng(18)
+    n = 3
+    lead = [CliffordLayer("H", (0,))]
+    c = Circuit(
+        n,
+        BasisInput((0,) * n),
+        tuple(lead + [random_linear_layer(rng, n)] + lead),
+        "conjugated",
+    )
+    with pytest.raises(simulator.CompileError):
+        compile_circuit(c)
+    assert classify_circuit(c).flags == {"PIpO"}
