@@ -199,24 +199,48 @@ def decompose_pauli(e: Encoding, p: PauliString) -> tuple:
     return indices, _recompose_phase(p, [e.majoranas[i] for i in indices])
 
 
+def _later_parity(x: np.ndarray) -> np.ndarray:
+    """Parity of x over the qubits after each qubit, along the last axis."""
+    return ((np.cumsum(x[..., ::-1], axis=-1)[..., ::-1] - x) & 1).astype(np.uint8)
+
+
+def chain_monomials(members: np.ndarray) -> tuple:
+    """(x | z) rows and phases of ascending chain monomials.
+
+    Row r of ``members`` is a 0/1 mask over the 2n chain Majoranas; the
+    monomial c_{j_1} ... c_{j_d} (j_1 < ... < j_d the marked indices)
+    equals i^phases[r] X^x Z^z.  Qubit q carries x_q = e_q + o_q and
+    z_q = o_q + s_q (mod 2), with e_q, o_q the marks of c_{2q}, c_{2q+1}
+    and s_q the parity of x over the qubits after q.  For j < k the Z
+    part of c_j misses the X of c_k, so multiplying in ascending order
+    swaps no letters, and the phase is the number of odd indices.
+    """
+    members = np.asarray(members, dtype=np.uint8)
+    even, odd = members[..., 0::2], members[..., 1::2]
+    x = even ^ odd
+    rows = np.concatenate([x, odd ^ _later_parity(x)], axis=-1)
+    return rows, odd.sum(axis=-1, dtype=np.int64) % 4
+
+
 def chain_decompose(p: PauliString) -> tuple:
     """decompose_pauli(jordan_wigner(p.n), p) in closed form.
 
     With s_j the parity of p.x over the qubits after j, c_{2j+1} is a
     factor iff z_j + s_j = 1 and c_{2j} iff x_j + z_j + s_j = 1 (mod 2):
     each factor at qubit k > j leaves one Z at j, and the factors at j
-    leave its x and z bits.  The extended frame's Majoranas are the
-    chain form on one more qubit, so its strings decompose here too.
+    leave its x and z bits.  The phase is p's relative to the monomial's
+    (see chain_monomials).  The extended frame's Majoranas are the chain
+    form on one more qubit, so its strings decompose here too.
     """
-    n = p.n
-    after = np.zeros(n, dtype=np.uint8)
-    after[:-1] = np.cumsum(p.x[:0:-1])[::-1] & 1
-    odd = p.z ^ after
-    bits = np.empty(2 * n, dtype=np.uint8)
-    bits[0::2] = p.x ^ odd
-    bits[1::2] = odd
-    indices = tuple(int(i) for i in np.flatnonzero(bits))
-    return indices, _recompose_phase(p, [chain_majorana(n, k) for k in indices])
+    odd = p.z ^ _later_parity(p.x)
+    members = np.empty(2 * p.n, dtype=np.uint8)
+    members[0::2] = p.x ^ odd
+    members[1::2] = odd
+    rows, phase = chain_monomials(members)
+    if not np.array_equal(rows, p.symplectic()):
+        raise AssertionError("decomposition failed to recompose")
+    indices = tuple(int(i) for i in np.flatnonzero(members))
+    return indices, complex(1j ** ((p.phase_exp - int(phase)) % 4))
 
 
 def _recompose_phase(p: PauliString, factors) -> complex:

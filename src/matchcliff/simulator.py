@@ -25,13 +25,24 @@ from .circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from .encodings import EXTENDED, STANDARD, chain_decompose, chain_majorana, embed_l12
+from .encodings import (
+    EXTENDED,
+    STANDARD,
+    chain_decompose,
+    chain_majorana,
+    chain_monomials,
+    embed_l12,
+)
 from .gaussian import CovarianceMatrix, MarginalQuery
 from .pauli import _X, _Y, _Z, PauliString
 from .tableau import CliffordClass, CliffordTableau
 
 D_MAX_DEFAULT = 4
 D_MAX_CAP = 6
+# index sets per batch of the restricted sum, which bounds its memory
+# when C(2n, d) is large
+MINOR_BATCH = 2048
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 class UnsupportedQuery(ValueError):
@@ -135,9 +146,9 @@ class CompiledCircuit:
     # (A, b) with C|x> = phase |A x + b mod 2>, for a basis-permuting C
     basis_map: tuple | None = None
 
-    # The restricted route's data is built on its first query, not while
-    # compiling: free circuits, whose dispatcher route is the covariance,
-    # would otherwise hold a 2n x 2n product they never read.
+    # The restricted route's body product is built on its first query, not
+    # while compiling: free circuits, whose dispatcher route is the
+    # covariance, would otherwise hold a 2n x 2n product they never read.
 
     @functools.cached_property
     def body_product(self) -> np.ndarray:
@@ -147,19 +158,6 @@ class CompiledCircuit:
         m = 2 * self.circuit.n
         s = np.eye(m + 2 if self.frame == EXTENDED else m)
         return linalg.rotate_rows(s, self.rotations)[-m:, -m:]
-
-    @functools.cached_property
-    def dressed(self) -> tuple:
-        """C^dag c_k C for each chain Majorana c_k, C the conjugation."""
-        n = self.circuit.n
-        majoranas = [chain_majorana(n, k) for k in range(2 * n)]
-        if self.conj is None:
-            return tuple(majoranas)
-        rows, phases = tableau.invert(self.conj).conjugate_rows(
-            np.stack([m.symplectic() for m in majoranas]),
-            [m.phase_exp for m in majoranas],
-        )
-        return tuple(PauliString(r[:n], r[n:], e) for r, e in zip(rows, phases))
 
 
 @functools.lru_cache(maxsize=256)
@@ -262,7 +260,10 @@ def classify_circuit(c: Circuit) -> SimClass:
 
 
 def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> float:
-    """<p> after the full circuit, via the fastest granted algorithm."""
+    """<p> after the full circuit, via the fastest granted algorithm.
+    d_max, the restricted route's degree limit, must lie in 0..D_MAX_CAP
+    whichever route answers."""
+    _check_d_max(d_max)
     cc = compile_circuit(c)
     if c.structure == "free":
         return gaussian.pauli_expectation(body_covariance(cc), p)
@@ -328,34 +329,23 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
     )
 
 
-def _product_site_expectations(angles) -> list:
-    out = []
-    for theta, phi in angles:
-        out.append(
-            {
-                "I": 1.0,
-                "X": np.sin(theta) * np.cos(phi),
-                "Y": np.sin(theta) * np.sin(phi),
-                "Z": np.cos(theta),
-            }
-        )
-    return out
-
-
-def _input_pauli_expectation(inp, p: PauliString) -> complex:
+def _input_table(inp) -> np.ndarray:
+    """(n, 4) table of <X^x Z^z> on each input qubit, in column 2x + z,
+    from the Bloch vector (x, y, z); XZ = -iY, and basis bit b has Bloch
+    vector (0, 0, (-1)^b)."""
     if isinstance(inp, BasisInput):
-        if p.x.any():
-            return 0.0
-        bits = np.asarray(inp.bits, dtype=np.uint8)
-        _, phase = p.apply_to_bits(bits)
-        return phase
-    site = _product_site_expectations(inp.angles)
-    val = complex(p.prefix())
-    for j, letter in enumerate(p.letters()):
-        val *= site[j][letter]
-        if val == 0.0:
-            return 0.0
-    return val
+        bz = 1.0 - 2.0 * np.asarray(inp.bits, dtype=float)
+        bx = by = np.zeros_like(bz)
+    else:
+        theta, phi = np.asarray(inp.angles, dtype=float).reshape(-1, 2).T
+        bx, by = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
+        bz = np.cos(theta)
+    return np.stack([np.ones_like(bz), bz, bx, -1j * by], axis=1)
+
+
+def _check_d_max(d_max: int) -> None:
+    if not 0 <= d_max <= D_MAX_CAP:
+        raise ValueError(f"d_max capped at {D_MAX_CAP} and at least 0, got {d_max}")
 
 
 def restricted_pauli_expectation(
@@ -364,15 +354,17 @@ def restricted_pauli_expectation(
     d_max: int = D_MAX_DEFAULT,
     _compiled: CompiledCircuit | None = None,
 ) -> float:
-    """Heisenberg-sum expectation for conjugated circuits: conjugate the
-    query into the chain frame, rotate each Majorana factor through the
-    body, and contract against per-site input expectations.
+    """Heisenberg-sum expectation for conjugated circuits.  The query is
+    conjugated into the chain frame, C p C^dag = mu c_I with C the leading
+    Clifford block; the body rotation S gives U^dag c_I U = sum over the
+    ascending J with |J| = d of det(S[I, J]) c_J; each c_J is dressed by
+    the trailing block (the inverse of C) and read against the input's
+    per-qubit Pauli table.
 
-    Cost (2n)^d; refuses when the query needs more than d_max Majorana
-    factors (hard cap 6).
+    Cost C(2n, d) minors, in batches of MINOR_BATCH index sets; refuses
+    when the query needs more than d_max Majorana factors (hard cap 6).
     """
-    if d_max > D_MAX_CAP:
-        raise ValueError(f"d_max capped at {D_MAX_CAP}")
+    _check_d_max(d_max)
     cc = _compiled if _compiled is not None else compile_circuit(c)
     if c.structure not in ("conjugated", "free"):
         raise UnsupportedQuery("restricted path needs a conjugated or free circuit")
@@ -385,22 +377,22 @@ def restricted_pauli_expectation(
         raise DegreeTooLarge(
             f"query needs {d} Majorana factors, above the limit {d_max}"
         )
-    if d == 0:
-        return float((mu * _input_pauli_expectation(c.input, PauliString.identity(n))).real)
-    s, dressed = cc.body_product, cc.dressed
+    s_rows = cc.body_product[list(indices)]
+    table = _input_table(c.input)
+    post = None if cc.conj is None else c.post_tableau()
+    sites = np.arange(n)
+    sets = itertools.combinations(range(2 * n), d)
     total = 0.0 + 0.0j
-    for js in itertools.product(range(2 * n), repeat=d):
-        w = 1.0
-        for t, i_t in enumerate(indices):
-            w *= s[i_t, js[t]]
-            if w == 0.0:
-                break
-        if w == 0.0:
-            continue
-        mono = PauliString.identity(n)
-        for j in js:
-            mono = mono * dressed[j]
-        total += w * _input_pauli_expectation(c.input, mono)
+    while chunk := list(itertools.islice(sets, MINOR_BATCH)):
+        js = np.array(chunk, dtype=np.intp).reshape(len(chunk), d)
+        weights = np.linalg.det(s_rows[:, js].transpose(1, 0, 2))
+        members = np.zeros((len(chunk), 2 * n), dtype=np.uint8)
+        members[np.arange(len(chunk))[:, None], js] = 1
+        rows, phases = chain_monomials(members)
+        if post is not None:
+            rows, phases = post.conjugate_rows(rows, phases)
+        values = np.prod(table[sites, 2 * rows[:, :n] + rows[:, n:]], axis=1)
+        total += weights @ (_I_POWERS[phases] * values)
     val = mu * total
     if not abs(val.imag) <= linalg.TOL.restricted_imag:
         raise gaussian.InternalConsistencyError(

@@ -100,11 +100,13 @@ class CliffordTableau:
         Pauli is the ordered product of its generators, so its image's
         phase is its own, plus the selected images' phases, plus twice
         the number of z_k . x_l overlaps with k before l."""
-        v = np.asarray(v, dtype=np.float64)  # counts up to 2n stay exact
-        rows = ((v @ self.matrix) % 2).astype(np.uint8)
+        # float products keep BLAS; counts up to 2n stay exact, and the
+        # integer mask is far cheaper than a float modulo
+        v = np.asarray(v, dtype=np.float64)
+        rows = ((v @ self.matrix).astype(np.int64) & 1).astype(np.uint8)
         order = ((v @ self._order_form) * v).sum(axis=1)
-        out = (np.asarray(phases, dtype=np.float64) + v @ self.phases + 2 * order) % 4
-        return rows, out.astype(np.uint8)
+        out = np.asarray(phases, dtype=np.float64) + v @ self.phases + 2 * order
+        return rows, (out.astype(np.int64) & 3).astype(np.uint8)
 
     def conjugate_pauli(self, p: PauliString) -> PauliString:
         """C p C^dag with exact phase."""

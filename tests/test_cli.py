@@ -103,6 +103,20 @@ def test_d_max_above_cap_is_input_error(capsys):
     assert "error=d_max capped" in err
 
 
+@pytest.mark.parametrize(
+    "fixture, pauli", [("free_n3.json", "ZII"), ("ghz4.json", "ZIIIII")]
+)
+@pytest.mark.parametrize("d_max", ["-1", "9"])
+def test_d_max_out_of_range_is_input_error_for_every_structure(
+    capsys, fixture, pauli, d_max
+):
+    code, out, err = run_cli(
+        capsys, "expect", f"{FIXTURES}/{fixture}", "--pauli", pauli, "--d-max", d_max
+    )
+    assert code == 1
+    assert "error=d_max capped at 6" in err and "value=" not in out
+
+
 def test_classify_circuit_file(capsys):
     code, out, _ = run_cli(capsys, "classify", f"{FIXTURES}/swap_conj_n3.json")
     assert code == 0

@@ -10,6 +10,8 @@ from matchcliff.encodings import (
     NotCzSwapFamily,
     bravyi_kitaev,
     chain_decompose,
+    chain_majorana,
+    chain_monomials,
     conjugate_encoding,
     decompose_pauli,
     embed_l12,
@@ -131,6 +133,32 @@ def test_chain_decompose_matches_f2_route(p):
     # the extended frame's strings, n + 1 qubits long
     q = embed_l12(p)
     assert chain_decompose(q) == decompose_pauli(extend_encoding(jordan_wigner(p.n)), q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_chain_monomials_equal_ordered_products(n, data):
+    sets = data.draw(
+        st.lists(
+            st.sets(st.integers(0, 2 * n - 1), max_size=min(2 * n, 8)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    members = np.zeros((len(sets), 2 * n), dtype=np.uint8)
+    for r, js in enumerate(sets):
+        members[r, sorted(js)] = 1
+    rows, phases = chain_monomials(members)
+    for r, js in enumerate(sets):
+        prod = PauliString.identity(n)
+        for j in sorted(js):
+            prod = prod * chain_majorana(n, j)
+        assert np.array_equal(rows[r], prod.symplectic())
+        assert phases[r] == prod.phase_exp
+        shift = data.draw(st.integers(0, 3))
+        indices, phase = chain_decompose(prod.with_phase_exp(prod.phase_exp + shift))
+        assert indices == tuple(sorted(js))
+        assert phase == 1j**shift
 
 
 def test_encoding_matrix_of_chain_form():

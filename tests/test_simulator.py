@@ -15,7 +15,7 @@ from matchcliff.circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from matchcliff.encodings import EXTENDED, STANDARD, chain_majorana
+from matchcliff.encodings import EXTENDED, STANDARD, chain_monomials
 from matchcliff.gaussian import MarginalQuery
 from matchcliff.pauli import PauliString
 from matchcliff.simulator import (
@@ -246,6 +246,27 @@ def test_restricted_degree_cap():
         restricted_pauli_expectation(c, PauliString.from_string("ZZZ"), d_max=7)
 
 
+@given(st.sampled_from((0, 1, 2, 4)), st.data(), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_restricted_route_equals_covariance_route_above_the_oracle_cap(
+    d, data, seed, product
+):
+    n = data.draw(st.integers(2, 16 if d == 4 else 64))
+    rng = np.random.default_rng(seed)
+    inp = random_product_input(rng, n) if product else random_basis_input(rng, n)
+    c = Circuit(n, inp, tuple(random_matchgate_layers(rng, n, 2 * n)), "free")
+    # a Hermitian Majorana monomial i^(d(d-1)/2) c_J, its indices close
+    # enough for a short body to correlate them
+    start = int(rng.integers(0, 2 * n - d + 1))
+    window = np.arange(start, min(start + 8, 2 * n))
+    members = np.zeros(2 * n, dtype=np.uint8)
+    members[rng.choice(window, size=d, replace=False)] = 1
+    rows, phase = chain_monomials(members)
+    p = PauliString(rows[:n], rows[n:], int(phase) + d * (d - 1) // 2)
+    want = run_expectation(c, p)
+    assert abs(restricted_pauli_expectation(c, p) - want) <= 1e-9
+
+
 def test_classify_circuit_flags():
     rng = np.random.default_rng(10)
     n = 3
@@ -348,10 +369,8 @@ def test_compiled_clifford_data_matches_a_rebuild():
             s = layer_rotation(lay, n, STANDARD) @ s
         assert np.max(np.abs(cc.body_product - s)) <= 1e-12
         conj = c.conjugation_tableau()
-        inv = tableau.invert(conj)
-        assert cc.dressed == tuple(
-            inv.conjugate_pauli(chain_majorana(n, k)) for k in range(2 * n)
-        )
+        # the restricted route dresses by the trailing block as C^-1
+        assert c.post_tableau() == tableau.invert(conj)
         assert cc.conj_class == tableau.classify(conj)
 
         post = Circuit(n, inp, tuple(c.body_layers()) + tuple(gates), "post_clifford")
@@ -484,9 +503,11 @@ def test_clifford_data_builds_without_pauli_products(monkeypatch):
     for gates in blocks:
         for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
             c = conjugated_circuit(rng, n, inp, gates, body_count=5)
-            cc = compile_circuit(c)
+            compile_circuit(c)
             classify_circuit(c)
-            assert len(cc.dressed) == 2 * n
+            # C p C^dag = Z_0: degree 2 under every class
+            p = c.post_tableau().conjugate_pauli(PauliString.single(n, 0, "Z"))
+            assert abs(restricted_pauli_expectation(c, p)) <= 1.0 + 1e-9
             post = Circuit(n, inp, c.body_layers() + tuple(gates), "post_clifford")
             compile_circuit(post)
             classify_circuit(post)
