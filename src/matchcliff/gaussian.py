@@ -145,10 +145,15 @@ def evolve(c: CovarianceMatrix, rotations, tol: Tolerances = TOL) -> CovarianceM
     rotates Majoranas offset .. offset + len(R_i) - 1.  A block of order
     k costs O(m k) on the m x m covariance."""
     m = c.gamma.shape[0]
-    blocks = []
-    for offset, r in rotations:
-        r = linalg.check_rotation(np.asarray(r, dtype=float), tol.orthogonality)
+    blocks = [(offset, np.asarray(r, dtype=float)) for offset, r in rotations]
+    # the 4x4 blocks of matchgates are checked in one stacked call
+    local = [r for _, r in blocks if r.shape == (4, 4)]
+    if local:
+        linalg.check_rotation(np.stack(local), tol.orthogonality)
+    for offset, r in blocks:
         k = r.shape[0]
+        if r.shape != (4, 4):
+            linalg.check_rotation(r, tol.orthogonality)
         if r.shape != (k, k) or not 0 <= offset <= m - k:
             raise FrameworkError("rotation block does not fit the covariance")
         if c.framework == EXTENDED and offset == 0:
@@ -158,7 +163,6 @@ def evolve(c: CovarianceMatrix, rotations, tol: Tolerances = TOL) -> CovarianceM
                 raise FrameworkError(
                     "extended-framework rotations must leave the first Majorana fixed"
                 )
-        blocks.append((offset, r))
     g = linalg.rotate_rows(np.array(c.gamma), blocks)  # S gamma
     # gamma S^T = -(S gamma)^T, copied so that its rows are contiguous
     g = linalg.rotate_rows(np.ascontiguousarray(-g.T), blocks)

@@ -30,10 +30,12 @@ class NotAntisymmetric(ValueError):
 
 
 def check_antisymmetric(a: np.ndarray, tol: float = TOL.antisymmetry) -> np.ndarray:
+    """a as a float array, one (m, m) matrix or an (L, m, m) stack, if
+    every matrix is antisymmetric to within tol."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotAntisymmetric(f"expected square matrix, got shape {a.shape}")
-    dev = np.max(np.abs(a + a.T)) if a.size else 0.0
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise NotAntisymmetric(f"expected square matrices, got shape {a.shape}")
+    dev = np.max(np.abs(a + np.swapaxes(a, -1, -2))) if a.size else 0.0
     if not dev <= tol:
         raise NotAntisymmetric(f"max |a_ij + a_ji| = {dev:.3e} > {tol:.1e}")
     return a
@@ -47,6 +49,8 @@ def slog_pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> tuple:
     order or a zero pivot.
     """
     a = check_antisymmetric(a, tol)
+    if a.ndim != 2:
+        raise NotAntisymmetric(f"expected one square matrix, got shape {a.shape}")
     a = 0.5 * (a - a.T)  # exact antisymmetry for the pivoted updates
     m = a.shape[0]
     if m % 2 == 1:
@@ -88,22 +92,80 @@ def pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> float:
     return value
 
 
+def _so4_units() -> np.ndarray:
+    """I, then the self-dual units J1..J3, then I, then the anti-self-dual
+    units K1..K3, as an (8, 4, 4) array.  Each J and K squares to -I, and
+    every J commutes with every K."""
+    units = np.zeros((8, 4, 4))
+    units[0] = units[4] = np.eye(4)
+    pairs = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
+    for k, (first, second) in enumerate(pairs):
+        for unit, sign in ((units[1 + k], 1.0), (units[5 + k], -1.0)):
+            unit[first], unit[first[::-1]] = 1.0, -1.0
+            unit[second], unit[second[::-1]] = sign, -sign
+    return units
+
+
+_SO4 = _so4_units()
+# flat a @ _SO4_COORDS = the coordinates of a on J1..J3, K1..K3 (|J|_F^2 = 4)
+_SO4_COORDS = np.concatenate([_SO4[1:4], _SO4[5:8]]).reshape(6, 16).T / 4.0
+# row 4i + j: the flat product (unit i of the J set) (unit j of the K set)
+_SO4_PRODUCTS = np.einsum("iab,jbc->ijac", _SO4[:4], _SO4[4:]).reshape(16, 16)
+
+
+def _expm_so4(a: np.ndarray) -> np.ndarray:
+    """exp(a) for an (L, 4, 4) stack of antisymmetric a, in closed form.
+
+    so(4) = su(2) + su(2): a = a+ + a-, with a+ = p . J self-dual and
+    a- = q . K anti-self-dual.  The parts commute and a+^2 = -|p|^2 I, so
+        exp(a) = (cos|p| I + sin|p|/|p| a+) (cos|q| I + sin|q|/|q| a-),
+    a product of two unit quaternions, expanded on the table of J_i K_j.
+    """
+    count = a.shape[0]
+    coords = (a.reshape(count, 16) @ _SO4_COORDS).reshape(count, 2, 3)
+    theta = np.sqrt(np.einsum("lki,lki->lk", coords, coords))
+    # sin(theta) / theta from the same theta as the cosine, so that each
+    # quaternion has unit norm to rounding; 1 at theta = 0
+    ratio = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0)
+    quat = np.empty((count, 2, 4))
+    quat[..., 0] = np.cos(theta)
+    quat[..., 1:] = ratio[..., None] * coords
+    outer = quat[:, 0, :, None] * quat[:, 1, None, :]
+    return (outer.reshape(count, 16) @ _SO4_PRODUCTS).reshape(count, 4, 4)
+
+
 def expm_antisymmetric(
     h: np.ndarray, scale: float = 4.0, tol: Tolerances = TOL
 ) -> np.ndarray:
-    """R = exp(scale * h) for antisymmetric h; R is polished to orthogonal."""
+    """R = exp(scale * h) for antisymmetric h, one (m, m) matrix or an
+    (L, m, m) stack, in h's shape; each R is polished to orthogonal.
+
+    Order 4 takes the closed form of _expm_so4, every other order
+    scipy.linalg.expm.  A generator whose size times its order and the
+    machine epsilon exceeds the rotation tolerance is refused: the rounding
+    error of its exponential would exceed that tolerance.
+    """
+    h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite entries in generator")
     h = check_antisymmetric(h, tol.antisymmetry)
-    r = scipy.linalg.expm(scale * h)
+    m = h.shape[-1]
+    size = float(np.max(np.abs(h), initial=0.0)) * abs(scale)
+    if size * m * np.finfo(float).eps > tol.orthogonality:
+        raise ValueError(
+            f"generator too large: max |scale h| = {size:.3e} at order {m}; "
+            "its exponential would be inaccurate or non-finite"
+        )
+    stack = h if h.ndim == 3 else h[None]
+    r = _expm_so4(scale * stack) if m == 4 else scipy.linalg.expm(scale * stack)
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite entries in the exponential")
-    drift = np.max(np.abs(r @ r.T - np.eye(r.shape[0]))) if r.size else 0.0
-    if drift > tol.orthogonality_polish:
+    drifted = _orthogonality_defect(r) > tol.orthogonality_polish
+    if np.any(drifted):
         # project to the nearest orthogonal matrix
-        u, _, vt = np.linalg.svd(r)
-        r = u @ vt
-    return r
+        u, _, vt = np.linalg.svd(r[drifted])
+        r[drifted] = u @ vt
+    return r if h.ndim == 3 else r[0]
 
 
 def rotate_rows(a: np.ndarray, blocks) -> np.ndarray:
@@ -116,10 +178,17 @@ def rotate_rows(a: np.ndarray, blocks) -> np.ndarray:
     return a
 
 
+def _orthogonality_defect(r: np.ndarray) -> np.ndarray:
+    """max |R R^T - I| of one matrix, or of each matrix of a stack."""
+    dev = r @ np.swapaxes(r, -1, -2) - np.eye(r.shape[-2])
+    return np.max(np.abs(dev), axis=(-2, -1), initial=0.0)
+
+
 def check_rotation(r: np.ndarray, tol: float = TOL.orthogonality) -> np.ndarray:
+    """r as a float array, one (m, m) matrix or an (L, m, m) stack, if
+    every matrix is orthogonal to within tol."""
     r = np.asarray(r, dtype=float)
-    m = r.shape[0]
-    dev = np.max(np.abs(r @ r.T - np.eye(m))) if r.size else 0.0
+    dev = np.max(_orthogonality_defect(r), initial=0.0)
     if not dev <= tol:
         raise ValueError(f"not orthogonal: ||R R^T - I|| = {dev:.3e}")
     return r

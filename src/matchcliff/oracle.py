@@ -38,7 +38,7 @@ class DenseState:
         if amp.shape != (2**self.n,):
             raise ValueError("amplitude vector has wrong length")
         nrm = np.linalg.norm(amp)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: |psi| = {nrm}")
         amp.flags.writeable = False
         object.__setattr__(self, "amp", amp)
@@ -159,7 +159,15 @@ def pauli_sum_matrix(terms, n: int) -> np.ndarray:
 
 def unitary_from_hamiltonian(terms, n: int) -> np.ndarray:
     """exp(-i H) for H given as a list of (coef, PauliString)."""
-    return scipy.linalg.expm(-1j * pauli_sum_matrix(terms, n))
+    return _unitary(pauli_sum_matrix(terms, n))
+
+
+def _unitary(hmat: np.ndarray) -> np.ndarray:
+    """exp(-i H) for a dense H; raises ValueError when it is not finite."""
+    u = scipy.linalg.expm(-1j * hmat)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite entries in the dense unitary")
+    return u
 
 
 def _matchgate_unitary(coeffs) -> np.ndarray:
@@ -215,7 +223,7 @@ def apply_circuit(circuit, state: DenseState | None = None) -> DenseState:
                             * h[i, j]
                             * (jw.majoranas[i].dense() @ jw.majoranas[j].dense())
                         )
-            state = DenseState(n, scipy.linalg.expm(-1j * hmat) @ state.amp)
+            state = DenseState(n, _unitary(hmat) @ state.amp)
         else:
             raise TypeError(f"unknown layer {lay!r}")
     return state

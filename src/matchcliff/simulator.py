@@ -84,20 +84,36 @@ def matchgate_terms(n: int, k: int, coeffs) -> list:
     ]
 
 
+def _generator_map() -> np.ndarray:
+    """(6, 16) matrix taking coefficients (a0, a1, b1, b2, d1, d2) to the
+    flattened 4x4 matchgate generator."""
+    rows = [
+        0.5
+        * np.array(
+            [
+                [0.0, -d1, b1, a0],
+                [d1, 0.0, -a1, -b2],
+                [-b1, a1, 0.0, -d2],
+                [-a0, b2, d2, 0.0],
+            ]
+        ).reshape(16)
+        for a0, a1, b1, b2, d1, d2 in np.eye(6)
+    ]
+    return np.array(rows)
+
+
+_GENERATOR_MAP = _generator_map()
+
+
 def matchgate_generator(coeffs) -> np.ndarray:
-    """4x4 antisymmetric generator of a matchgate on (k, k+1): the block
-    of pauli_terms_to_h(matchgate_terms(...)) on Majoranas 2k..2k+3, or
-    2k+2..2k+5 in the extended frame, zero everywhere else.  The block is
-    the same for every k and in both frames."""
-    a0, a1, b1, b2, d1, d2 = coeffs
-    return 0.5 * np.array(
-        [
-            [0.0, -d1, b1, a0],
-            [d1, 0.0, -a1, -b2],
-            [-b1, a1, 0.0, -d2],
-            [-a0, b2, d2, 0.0],
-        ]
-    )
+    """4x4 antisymmetric generator of a matchgate on (k, k+1), for
+    coefficient rows (..., 6) in the order (a0, a1, b1, b2, d1, d2): the
+    block of pauli_terms_to_h(matchgate_terms(...)) on Majoranas
+    2k..2k+3, or 2k+2..2k+5 in the extended frame, zero everywhere else.
+    The block is the same for every k and in both frames.  Returns an
+    array of shape (..., 4, 4)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return (coeffs @ _GENERATOR_MAP).reshape(coeffs.shape[:-1] + (4, 4))
 
 
 def layer_terms(lay, n: int) -> list:
@@ -188,17 +204,24 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
     elif c.structure == "post_clifford":
         post = c.post_tableau()
         extra["post_inverse"] = tableau.invert(post)
-    rotations = tuple(_body_block(lay, c.n, frame) for lay in c.body_layers())
+    # a matchgate rotates only its four Majoranas, and the body's matchgates
+    # are exponentiated in one stacked call; other layers keep the dense
+    # rotation
+    layers = c.body_layers()
+    coeffs = [lay.coeffs for lay in layers if isinstance(lay, MatchgateLayer)]
+    local = iter(
+        linalg.expm_antisymmetric(
+            matchgate_generator(np.array(coeffs, dtype=float).reshape(-1, 6))
+        )
+    )
+    shift = 2 if frame == EXTENDED else 0
+    rotations = tuple(
+        (2 * lay.qubit + shift, next(local))
+        if isinstance(lay, MatchgateLayer)
+        else (0, layer_rotation(lay, c.n, frame))
+        for lay in layers
+    )
     return CompiledCircuit(c, frame, conj, post, rotations, **extra)
-
-
-def _body_block(lay, n: int, frame: str) -> tuple:
-    """(offset, R) of one body layer: a matchgate rotates only its four
-    Majoranas; other layers keep the dense rotation."""
-    if isinstance(lay, MatchgateLayer):
-        offset = 2 * lay.qubit + (2 if frame == EXTENDED else 0)
-        return offset, linalg.expm_antisymmetric(matchgate_generator(lay.coeffs))
-    return 0, layer_rotation(lay, n, frame)
 
 
 def body_covariance(cc: CompiledCircuit, inp=None) -> CovarianceMatrix:

@@ -231,6 +231,16 @@ def test_evolve_refuses_blocks_that_break_the_frame():
         evolve(cov, [(4, _random_rotation(rng, 4))])  # rows 4..7 of 6
 
 
+def test_evolve_refuses_any_non_orthogonal_block():
+    rng = np.random.default_rng(8)
+    cov = init_covariance(BasisInput((0, 1, 1, 0)))
+    for k, order in ((2, 4), (1, 8)):
+        blocks = [(2, _random_rotation(rng, 4)) for _ in range(4)]
+        blocks.insert(k, (0, 1.001 * _random_rotation(rng, order)))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            evolve(cov, blocks)
+
+
 def _hermitian_majorana_monomials(n):
     """Every Hermitian chain-form c_j and i c_j c_k on n qubits."""
     cs = jordan_wigner(n).majoranas

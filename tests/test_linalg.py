@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcliff import linalg
+
+EPS = np.finfo(float).eps
+# agreement of two double-precision exponentials, relative to max(1, |A|):
+# about 4500 eps, fixed before comparing
+EXPM_RTOL = 1e-12
 
 
 def random_antisymmetric(rng, n):
@@ -81,6 +88,86 @@ def test_guards_reject_nan_and_overflow():
     h[0, 1], h[1, 0] = 1e200, -1e200
     with pytest.raises(ValueError, match="non-finite"):
         linalg.expm_antisymmetric(h)
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6),
+    st.integers(min_value=-8, max_value=3),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_4x4_exponential_matches_scipy(upper, exponent, zero):
+    h = np.zeros((4, 4))
+    if not zero:
+        h[np.triu_indices(4, 1)] = upper
+        h = (h - h.T) * 10.0**exponent
+    a = 4.0 * h
+    r = linalg.expm_antisymmetric(h)
+    tol = EXPM_RTOL * max(1.0, np.linalg.norm(a, 2))
+    assert np.max(np.abs(r - scipy.linalg.expm(a))) <= tol
+    assert np.max(np.abs(r @ r.T - np.eye(4))) <= 1e-14
+
+
+def test_expm_keeps_the_shape_it_is_given():
+    rng = np.random.default_rng(4)
+    for m in (4, 6):
+        h = random_antisymmetric(rng, m)
+        assert linalg.expm_antisymmetric(h).shape == (m, m)
+        for count in (0, 1, 5):
+            stack = np.array([random_antisymmetric(rng, m) for _ in range(count)])
+            stack = stack.reshape(count, m, m)
+            r = linalg.expm_antisymmetric(stack)
+            assert r.shape == (count, m, m)
+            for one, many in zip(stack, r):
+                assert np.max(np.abs(linalg.expm_antisymmetric(one) - many)) <= 1e-13
+
+
+def test_expm_polishes_only_the_drifted_matrices(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = np.array([random_antisymmetric(rng, 4) for _ in range(3)])
+    exact = linalg.expm_antisymmetric(stack)
+    closed_form = linalg._expm_so4
+
+    def drifted(a):
+        r = closed_form(a)
+        r[1] *= 1.0 + 1e-9
+        return r
+
+    monkeypatch.setattr(linalg, "_expm_so4", drifted)
+    r = linalg.expm_antisymmetric(stack)
+    assert np.array_equal(r[[0, 2]], exact[[0, 2]])
+    assert np.max(np.abs(r[1] @ r[1].T - np.eye(4))) <= 1e-14
+    assert np.max(np.abs(r[1] - exact[1])) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_expm_refuses_a_generator_whose_rounding_exceeds_the_tolerance(m):
+    # refused when max |scale h| * m * eps > tol.orthogonality
+    edge = linalg.TOL.orthogonality / (m * EPS)
+    h = np.zeros((m, m))
+    for size, refused in ((edge * (1 + 1e-9), True), (edge * (1 - 1e-9), False)):
+        h[0, 1], h[1, 0] = size, -size
+        if refused:
+            with pytest.raises(ValueError, match="too large"):
+                linalg.expm_antisymmetric(h, scale=1.0)
+        else:
+            r = linalg.expm_antisymmetric(h, scale=1.0)
+            assert np.max(np.abs(r @ r.T - np.eye(m))) <= 1e-12
+    stack = np.zeros((3, 4, 4))
+    stack[2, 2, 3], stack[2, 3, 2] = 1e6, -1e6
+    with pytest.raises(ValueError, match="too large"):
+        linalg.expm_antisymmetric(stack)
+
+
+def test_check_rotation_checks_every_matrix_of_a_stack():
+    stack = np.array([np.eye(4)] * 3)
+    assert linalg.check_rotation(stack) is not None
+    assert linalg.check_rotation(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    stack[1, 0, 0] = 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not orthogonal"):
+        linalg.check_rotation(stack)
+    with pytest.raises(linalg.NotAntisymmetric):
+        linalg.check_antisymmetric(np.array([np.zeros((4, 4)), np.eye(4)]))
 
 
 def schur_pfaffian(a):

@@ -85,6 +85,20 @@ def test_apply_circuit_single_rotation():
     assert st.amp[0b11] == pytest.approx(-1j * np.sin(theta))
 
 
+@pytest.mark.parametrize("a0", [1e200, float("nan")])
+def test_apply_circuit_refuses_a_non_finite_unitary(a0):
+    c = Circuit(
+        2, BasisInput((0, 0)), (MatchgateLayer(0, (a0, 0.0, 0.0, 0.0, 0.0, 0.0)),), "free"
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle.apply_circuit(c)
+
+
+def test_dense_state_refuses_a_nan_norm():
+    with pytest.raises(ValueError, match="not normalized"):
+        oracle.DenseState(1, np.array([np.nan, 0.0]))
+
+
 def test_size_cap_enforced():
     with pytest.raises(oracle.SizeCapExceeded):
         oracle.basis_state(13, (0,) * 13)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcliff import f2, oracle, simulator, tableau
+from matchcliff import f2, gaussian, linalg, oracle, simulator, tableau
 from matchcliff.circuits import (
     BasisInput,
     Circuit,
@@ -428,6 +428,62 @@ def test_compiled_rotations_are_local_for_matchgates_only():
                     assert r.shape == (4, 4)
                 else:
                     assert (offset, r.shape) == (0, (m, m))
+
+
+def test_matchgate_generator_takes_stacked_coefficient_rows():
+    rng = np.random.default_rng(15)
+    rows = rng.normal(size=(3, 5, 6))
+    h = simulator.matchgate_generator(rows)
+    assert h.shape == (3, 5, 4, 4)
+    for idx in np.ndindex(3, 5):
+        assert np.array_equal(h[idx], simulator.matchgate_generator(tuple(rows[idx])))
+    assert simulator.matchgate_generator(np.zeros((0, 6))).shape == (0, 4, 4)
+
+
+def test_compile_exponentiates_a_body_in_one_stacked_call(monkeypatch):
+    calls = []
+    expm = linalg.expm_antisymmetric
+
+    def recorded(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return expm(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "expm_antisymmetric", recorded)
+    rng = np.random.default_rng(16)
+    n = 5
+    inp = random_basis_input(rng, n)
+    matchgates = Circuit(n, inp, tuple(random_matchgate_layers(rng, n, 7)), "free")
+    compile_circuit(matchgates)
+    assert calls == [(7, 4, 4)]
+    calls.clear()
+    # a body with no matchgates makes an empty stacked call and its dense one
+    dense = Circuit(n, inp, (random_quadratic_layer(rng, n),), "free")
+    ((offset, r),) = compile_circuit(dense).rotations
+    assert calls == [(0, 4, 4), (2 * n, 2 * n)]
+    assert (offset, r.shape) == (0, (2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("frame", [STANDARD, EXTENDED])
+def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, frame):
+    """20n matchgates: the compiled 4x4 blocks evolve the covariance as the
+    product of dense layer_rotation matrices does.  The gates are drawn from
+    a pool of 2n random matchgates, so that the dense reference computes
+    only 2n exponentials of order 2n or 2n + 2."""
+    rng = np.random.default_rng([17, n])
+    inp = random_basis_input(rng, n) if frame == STANDARD else random_product_input(rng, n)
+    pool = random_matchgate_layers(rng, n, 2 * n)
+    body = tuple(pool[i] for i in rng.integers(2 * n, size=20 * n))
+    cc = compile_circuit(Circuit(n, inp, body, "free"))
+    assert cc.frame == frame
+    cov = simulator.body_covariance(cc).gamma
+    dense = {id(lay): layer_rotation(lay, n, frame) for lay in pool}
+    s = np.eye(cov.shape[0])
+    for lay in body:
+        s = dense[id(lay)] @ s
+    start = gaussian.init_covariance(inp).gamma
+    assert np.max(np.abs(cov - s @ start @ s.T)) <= 1e-9
+    assert np.max(np.abs(cov @ cov.T - np.eye(cov.shape[0]))) <= 1e-9
 
 
 def test_circuit_builds_each_clifford_block_once(monkeypatch):
