@@ -33,6 +33,11 @@ class CircuitParseError(ValueError):
 class BasisInput:
     bits: tuple
 
+    def __post_init__(self):
+        if not set(self.bits) <= {0, 1}:
+            raise CircuitParseError(f"basis bits must be 0 or 1, got {self.bits!r}")
+        object.__setattr__(self, "bits", tuple(map(int, self.bits)))
+
     @property
     def n(self) -> int:
         return len(self.bits)

@@ -42,8 +42,10 @@ class MarginalQuery:
     bits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
+        if not set(self.bits) <= {0, 1}:
+            raise ValueError(f"query bits must be 0 or 1, got {self.bits!r}")
+        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
+        object.__setattr__(self, "bits", tuple(map(int, self.bits)))
         if len(self.qubits) != len(self.bits):
             raise ValueError("qubits and bits differ in length")
         if len(set(self.qubits)) != len(self.qubits):
@@ -221,8 +223,8 @@ def monomial_expectation(c: CovarianceMatrix, indices) -> float:
         raise IndexError("Majorana index out of range")
     if len(set(indices)) != len(indices):
         raise ValueError("repeated Majorana index")
-    sub = c.gamma[np.ix_(indices, indices)]
-    return linalg.pfaffian(sub)
+    idx = np.array(indices, dtype=np.intp)
+    return linalg.pfaffian(c.gamma[idx[:, None], idx])
 
 
 def pauli_expectation(
@@ -246,17 +248,26 @@ def pauli_expectation(
     return float(val.real)
 
 
-def _pair_indices(c: CovarianceMatrix, qubit: int) -> tuple:
-    """Majorana pair (a, a+1) with Z_qubit = -i c_a c_{a+1} in the frame."""
-    if not 0 <= qubit < c.n:
-        raise IndexError(f"qubit {qubit} out of range")
-    if c.framework == STANDARD:
-        return (2 * qubit, 2 * qubit + 1)
-    return (2 * qubit + 2, 2 * qubit + 3)
+# (-1)^bit, the sign of an outcome in its qubit projector (1 + s Z)/2
+_OUTCOME_SIGNS = np.array([1.0, -1.0])
+
+
+@functools.lru_cache(maxsize=64)
+def majorana_pairs(framework: str, n: int) -> np.ndarray:
+    """Read-only (n, 2) table whose row q is the Majorana pair (a, a+1)
+    with Z_q = -i c_a c_{a+1} in the framework."""
+    first = 2 if framework == EXTENDED else 0
+    pairs = np.arange(first, first + 2 * n, dtype=np.intp).reshape(n, 2)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def marginal_probability(
-    c: CovarianceMatrix, q: MarginalQuery, tol: Tolerances = TOL
+    c: CovarianceMatrix,
+    q: MarginalQuery,
+    tol: Tolerances = TOL,
+    *,
+    pairs: np.ndarray | None = None,
 ) -> float:
     """Probability of reading the given bits on the given logical qubits.
 
@@ -266,17 +277,28 @@ def marginal_probability(
     s_i = (-1)^{bit}.  A probability is non-negative and Pf^2 = det, so
     it equals sqrt|det((Gamma_S + D) / 2)|: one LAPACK determinant in
     the log domain, which neither overflows nor cancels a k ln 2 term.
+
+    Qubit q reads the Majorana pair pairs[q], the frame's own pair by
+    default; a compiled circuit's readout table folds its qubit
+    permutation in.
     """
-    idx = []
-    for qu in q.qubits:
-        idx.extend(_pair_indices(c, qu))
-    sub = c.gamma[np.ix_(idx, idx)].copy()
-    pairs = np.arange(0, len(idx), 2)
-    signs = 1.0 - 2.0 * np.asarray(q.bits, dtype=float)
-    sub[pairs, pairs + 1] += signs
-    sub[pairs + 1, pairs] -= signs
+    if pairs is None:
+        pairs = majorana_pairs(c.framework, c.n)
+    qubits = q.qubits
+    if qubits and not (min(qubits) >= 0 and max(qubits) < len(pairs)):
+        raise IndexError(f"query qubits {qubits} out of range")
+    idx = pairs.take(qubits, axis=0).ravel()
+    sub = c.gamma[idx[:, None], idx]
+    signs = _OUTCOME_SIGNS.take(q.bits)
+    # D on the flat view: (2i, 2i+1) sits at i (4k+2) + 1, (2i+1, 2i) at
+    # i (4k+2) + 2k
+    k = len(qubits)
+    flat = sub.reshape(-1)
+    flat[1 :: 4 * k + 2] += signs
+    flat[2 * k :: 4 * k + 2] -= signs
     linalg.check_antisymmetric(sub)
-    _, logabsdet = np.linalg.slogdet(0.5 * sub)
+    sub *= 0.5
+    _, logabsdet = np.linalg.slogdet(sub)
     prob = math.exp(0.5 * logabsdet)
     if not -tol.probability <= prob <= 1.0 + tol.probability:
         raise InternalConsistencyError(f"probability {prob} outside [0, 1]")

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 
 @dataclass(frozen=True)
@@ -35,45 +36,42 @@ def check_antisymmetric(a: np.ndarray, tol: float = TOL.antisymmetry) -> np.ndar
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise NotAntisymmetric(f"expected square matrices, got shape {a.shape}")
-    dev = np.max(np.abs(a + np.swapaxes(a, -1, -2))) if a.size else 0.0
+    transpose = a.T if a.ndim == 2 else a.swapaxes(-1, -2)
+    dev = np.abs(a + transpose).max(initial=0.0)
     if not dev <= tol:
         raise NotAntisymmetric(f"max |a_ij + a_ji| = {dev:.3e} > {tol:.1e}")
     return a
 
 
 def slog_pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> tuple:
-    """(sign, log|Pf|) via Parlett-Reid tridiagonalization with partial
-    pivoting; the log of the pivot product cannot overflow.
+    """(sign, log|Pf|) from one Householder tridiagonalization, LAPACK
+    dgehrd (Wimmer, arXiv:1102.3440).
+
+    a = Q T Q^T with T tridiagonal antisymmetric and Q a product of
+    elementary reflectors, each of determinant -1 unless trivial (tau = 0),
+    so Pf(a) = det(Q) Pf(T) = (-1)^{#nonzero tau} prod_i T[2i, 2i+1]; the
+    log of that product cannot overflow.
 
     Returns (1.0, 0.0) for the empty 0x0 matrix and (0.0, -inf) for odd
-    order or a zero pivot.
+    order or a zero factor T[2i, 2i+1].
     """
     a = check_antisymmetric(a, tol)
     if a.ndim != 2:
         raise NotAntisymmetric(f"expected one square matrix, got shape {a.shape}")
-    a = 0.5 * (a - a.T)  # exact antisymmetry for the pivoted updates
     m = a.shape[0]
     if m % 2 == 1:
         return 0.0, -math.inf
-    sign, log = 1.0, 0.0
-    for k in range(0, m - 1, 2):
-        # pivot the largest entry of column k below the diagonal into row k+1
-        kp = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
-        if kp != k + 1:
-            a[[k + 1, kp], :] = a[[kp, k + 1], :]
-            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
-            sign = -sign
-        pivot = float(a[k, k + 1])
-        if pivot == 0.0:
-            return 0.0, -math.inf
-        if pivot < 0.0:
-            sign = -sign
-        log += math.log(abs(pivot))
-        if k + 2 < m:
-            tau = a[k, k + 2 :] / pivot
-            col = a[k + 2 :, k + 1]
-            a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return sign, log
+    if m == 0:
+        return 1.0, 0.0
+    # exact antisymmetry, so that the Hessenberg form is tridiagonal
+    t, tau, info = scipy.linalg.lapack.dgehrd(0.5 * (a - a.T))
+    if info != 0:
+        raise ValueError(f"dgehrd failed with info={info}")
+    factors = t.diagonal(1)[::2]
+    if not factors.all():
+        return 0.0, -math.inf
+    flips = np.count_nonzero(tau) + np.count_nonzero(factors < 0.0)
+    return -1.0 if flips % 2 else 1.0, float(np.log(np.abs(factors)).sum())
 
 
 def pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> float:

@@ -142,6 +142,15 @@ def layer_rotation(lay, n: int, frame: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Readout:
+    """What the marginals of a compiled circuit read: logical output qubit
+    q is the Majorana pair pairs[q] of the covariance."""
+
+    cov: CovarianceMatrix
+    pairs: np.ndarray  # (n, 2)
+
+
+@dataclass(frozen=True)
 class CompiledCircuit:
     """A circuit with everything its queries share, computed once."""
 
@@ -162,9 +171,10 @@ class CompiledCircuit:
     # (A, b) with C|x> = phase |A x + b mod 2>, for a basis-permuting C
     basis_map: tuple | None = None
 
-    # The restricted route's body product is built on its first query, not
-    # while compiling: free circuits, whose dispatcher route is the
-    # covariance, would otherwise hold a 2n x 2n product they never read.
+    # The restricted route's body product and the marginals' readout are
+    # built on their first query, not while compiling, so a circuit holds
+    # only what its queries read: free circuits, whose dispatcher route is
+    # the covariance, would otherwise hold a 2n x 2n product they never read.
 
     @functools.cached_property
     def body_product(self) -> np.ndarray:
@@ -174,6 +184,30 @@ class CompiledCircuit:
         m = 2 * self.circuit.n
         s = np.eye(m + 2 if self.frame == EXTENDED else m)
         return linalg.rotate_rows(s, self.rotations)[-m:, -m:]
+
+    @functools.cached_property
+    def readout(self) -> Readout:
+        """The covariance and pair table that the granted marginals read,
+        built on the first marginal.  Output qubit q reads the pair of
+        pi(q), or of q without a qubit permutation, in the body covariance
+        of the input: permuted by pi for a product input under SWAPs, and
+        C|input> for a basis input under a basis-permuting C.  The
+        permutation class maps each query's bits through basis_map."""
+        c = self.circuit
+        perm = self.qubit_perm
+        inp = c.input
+        if isinstance(inp, ProductInput) and perm is not None:
+            angles = [None] * c.n
+            for target, angle in zip(perm, inp.angles):
+                angles[target] = angle
+            inp = ProductInput(tuple(angles))
+        elif self.input_action is not None:
+            inp = BasisInput(self.input_action[0])
+        cov = body_covariance(self, inp)
+        pairs = gaussian.majorana_pairs(cov.framework, c.n)
+        if perm is not None:
+            pairs = pairs[list(perm)]
+        return Readout(cov, pairs)
 
 
 @functools.lru_cache(maxsize=256)
@@ -305,8 +339,6 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
     n = c.n
     if any(not 0 <= qu < n for qu in q.qubits):
         raise IndexError("query qubit out of range")
-    if c.structure == "free":
-        return gaussian.marginal_probability(body_covariance(cc), q)
     if c.structure == "post_clifford":
         raise UnsupportedQuery(
             "post-Clifford circuits are granted Pauli-expectation outputs only"
@@ -317,39 +349,27 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
             "general conjugation admits no known reduction to a free-fermion "
             "marginal"
         )
-    pi = cc.qubit_perm
-    if isinstance(c.input, ProductInput):
-        if cls != CliffordClass.SWAP_ONLY:
-            raise UnsupportedQuery(
-                "product inputs under CZ/permutation conjugation would "
-                "simulate magic-state circuits"
-            )
-        angles = [None] * n
-        for qu in range(n):
-            angles[pi[qu]] = c.input.angles[qu]
-        cov = body_covariance(cc, ProductInput(tuple(angles)))
-        return gaussian.marginal_probability(
-            cov, MarginalQuery(tuple(pi[qu] for qu in q.qubits), q.bits)
+    product = isinstance(c.input, ProductInput)
+    if product and cls not in (None, CliffordClass.SWAP_ONLY):
+        raise UnsupportedQuery(
+            "product inputs under CZ/permutation conjugation would "
+            "simulate magic-state circuits"
         )
-    # basis input; under the permutation class only full-length queries
-    # survive the pullback
+    # under the permutation class only full-length queries survive the
+    # pullback
     if cls == CliffordClass.PERMUTATION and len(q.qubits) != n:
         raise UnsupportedQuery(
             "partial marginals under permutation conjugation pull back to "
             "sums of several projectors; only full-length outputs are granted"
         )
-    cov = body_covariance(cc, BasisInput(cc.input_action[0]))
-    if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
-        return gaussian.marginal_probability(
-            cov, MarginalQuery(tuple(pi[qu] for qu in q.qubits), q.bits)
-        )
-    full = np.zeros(n, dtype=np.int64)
-    full[list(q.qubits)] = q.bits
-    a, b = cc.basis_map
-    bits_out = (a @ full + b) & 1
-    return gaussian.marginal_probability(
-        cov, MarginalQuery(tuple(range(n)), tuple(int(v) for v in bits_out))
-    )
+    readout = cc.readout
+    if cls == CliffordClass.PERMUTATION:
+        full = np.zeros(n, dtype=np.int64)
+        full[list(q.qubits)] = q.bits
+        a, b = cc.basis_map
+        bits = (a @ full + b) & 1
+        q = MarginalQuery(q.qubits, tuple(bits[list(q.qubits)].tolist()))
+    return gaussian.marginal_probability(readout.cov, q, pairs=readout.pairs)
 
 
 def _input_table(inp) -> np.ndarray:

@@ -158,3 +158,15 @@ def test_quadratic_layer_with_nan_is_refused():
     h[0, 1], h[1, 0] = np.nan, np.nan
     with pytest.raises(CircuitParseError, match="antisymmetric"):
         Circuit(2, BasisInput((0, 0)), (QuadraticLayer(tuple(map(tuple, h))),), "free")
+
+
+def test_basis_input_refuses_bits_other_than_0_and_1():
+    """A bit of 2 once read as 1 on the covariance route and as -3 in the
+    restricted route's input table."""
+    for bits in ((2, 0, 0), (0, -1, 0), (0, 0, 0.5), ("1", 0, 0)):
+        with pytest.raises(CircuitParseError, match="0 or 1"):
+            BasisInput(bits)
+    assert issubclass(CircuitParseError, ValueError)
+    inp = BasisInput((np.int64(1), True, 0))
+    assert inp.bits == (1, 1, 0)
+    assert all(type(b) is int for b in inp.bits)

@@ -221,3 +221,14 @@ def test_repeated_queries_classify_the_circuit_once(capsys, monkeypatch):
         assert code == 0
         assert "PIBO" in parse_kv(out)["class"]
     assert len(calls) == 1
+
+
+def test_marginal_bits_other_than_0_and_1_are_input_errors(capsys):
+    """--bits 20 was read as 00 and answered with exit 0."""
+    for bits in ("20", "1-"):
+        code, out, err = run_cli(
+            capsys, "marginal", f"{FIXTURES}/free_n3.json", "--qubits", "0,1", "--bits", bits
+        )
+        assert code == 1
+        assert out == ""
+        assert "error=" in err

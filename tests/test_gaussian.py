@@ -270,3 +270,43 @@ def test_closed_form_product_covariance_is_pure_at_n256():
     angles = tuple((float(t), float(p)) for t, p in zip(thetas, rng.uniform(0, 2 * np.pi, n)))
     gamma = product_state_covariance(angles).gamma
     assert np.max(np.abs(gamma @ gamma.T - np.eye(2 * n + 2))) <= 1e-12
+
+
+def test_marginal_query_refuses_bits_other_than_0_and_1():
+    for bits in ((2,), (0, -1), (0.5, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            MarginalQuery(tuple(range(len(bits))), bits)
+    q = MarginalQuery((np.int64(2), 0), (np.int64(1), False))
+    assert (q.qubits, q.bits) == ((2, 0), (1, 0))
+
+
+def test_marginal_kernel_reads_the_given_pair_table():
+    """pairs[q] names the Majorana pair that qubit q reads."""
+    rng = np.random.default_rng(6)
+    n = 4
+    h = rng.normal(size=(2 * n, 2 * n))
+    cov = evolve(init_covariance(BasisInput((0, 1, 1, 0))), [(0, expm_antisymmetric(h - h.T))])
+    perm = (2, 0, 3, 1)
+    pairs = gaussian.majorana_pairs(cov.framework, n)[list(perm)]
+    assert pairs.tolist() == [[4, 5], [0, 1], [6, 7], [2, 3]]
+    for bits in ((1, 0), (0, 1)):
+        got = marginal_probability(cov, MarginalQuery((0, 3), bits), pairs=pairs)
+        want = marginal_probability(cov, MarginalQuery((2, 1), bits))
+        assert got == pytest.approx(want, abs=1e-14)
+    ext = gaussian.majorana_pairs("extended", 3)
+    assert ext.tolist() == [[2, 3], [4, 5], [6, 7]]
+    assert not ext.flags.writeable
+    for qubits in ((4,), (-1,), (0, 5)):
+        with pytest.raises(IndexError):
+            marginal_probability(cov, MarginalQuery(qubits, (0,) * len(qubits)))
+
+
+def test_marginal_checks_the_antisymmetry_of_each_submatrix():
+    """The covariance admits 10x the antisymmetry tolerance; each marginal
+    checks its own Gamma_S + D at 1x, and only the qubits it reads."""
+    g = init_covariance(BasisInput((0, 1, 0))).gamma.copy()
+    g[2, 4] = 5e-12  # between qubits 1 and 2, unmatched by g[4, 2]
+    cov = CovarianceMatrix(g, "standard", 3)
+    assert marginal_probability(cov, MarginalQuery((0, 1), (0, 1))) == pytest.approx(1.0)
+    with pytest.raises(linalg.NotAntisymmetric):
+        marginal_probability(cov, MarginalQuery((1, 2), (1, 0)))

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -207,3 +210,93 @@ def test_slog_pfaffian_edge_cases():
     assert linalg.slog_pfaffian(np.zeros((0, 0))) == (1.0, 0.0)
     assert linalg.slog_pfaffian(np.zeros((3, 3))) == (0.0, -np.inf)
     assert linalg.slog_pfaffian(np.zeros((4, 4))) == (0.0, -np.inf)
+
+
+def brute_force_pfaffian(a):
+    """The definition: Pf(a) = 1 / (2^k k!) sum over permutations s of
+    sgn(s) prod_i a[s(2i), s(2i+1)], with m = 2k."""
+    m = a.shape[0]
+    perms = list(itertools.permutations(range(m)))
+    perms = np.array(perms, dtype=np.intp).reshape(len(perms), m)
+    # sign of each permutation from its inversion count
+    inversions = np.zeros(len(perms), dtype=int)
+    for i in range(m):
+        inversions += (perms[:, i, None] > perms[:, i + 1 :]).sum(axis=1)
+    signs = np.where(inversions % 2, -1.0, 1.0)
+    terms = np.prod(a[perms[:, 0::2], perms[:, 1::2]], axis=1)
+    k = m // 2
+    return float(signs @ terms) / (2.0**k * math.factorial(k))
+
+
+def permuted_block_diagonal(rng, m):
+    """Antisymmetric 2x2 blocks on a random pairing of the indices: its
+    Householder reduction meets columns that need no reflection."""
+    a = np.zeros((m, m))
+    order = rng.permutation(m)
+    for i, j in order.reshape(-1, 2):
+        a[i, j] = rng.normal()
+        a[j, i] = -a[i, j]
+    return a
+
+
+def test_slog_pfaffian_matches_the_brute_force_definition():
+    rng = np.random.default_rng(11)
+    for m in (0, 2, 4, 6, 8):
+        cases = [random_antisymmetric(rng, m)]
+        dense = random_antisymmetric(rng, m)
+        mask = rng.random((m, m)) < 0.5
+        cases.append(dense * (mask & mask.T))  # sparse
+        cases.append(np.triu(rng.integers(-3, 4, size=(m, m)), 1).astype(float))
+        cases[-1] -= cases[-1].T
+        cases.append(permuted_block_diagonal(rng, m))
+        block = np.zeros((m, m))
+        for k in range(0, m, 2):
+            block[k, k + 1] = rng.choice([-2.0, 1.5])
+            block[k + 1, k] = -block[k, k + 1]
+        cases.append(block)  # every reflector trivial, tau = 0
+        for a in cases:
+            want = brute_force_pfaffian(a)
+            sign, log = linalg.slog_pfaffian(a)
+            got = sign * np.exp(log)
+            scale = max(1.0, np.abs(a).max(initial=0.0)) ** (m // 2)
+            assert abs(got - want) <= 1e-12 * scale
+            if want != 0.0:
+                assert sign == np.sign(want)
+
+
+def test_slog_pfaffian_of_a_trivially_reflected_matrix_is_exact():
+    """Block-diagonal and integer-valued: T = a, no reflector is applied,
+    and the sign comes from the blocks alone."""
+    a = np.zeros((6, 6))
+    for k, v in zip((0, 2, 4), (-2.0, 3.0, -1.0)):
+        a[k, k + 1], a[k + 1, k] = v, -v
+    for flip in (1.0, -1.0):
+        a[4, 5], a[5, 4] = -flip, flip
+        sign, log = linalg.slog_pfaffian(a)
+        assert sign == flip
+        assert log == pytest.approx(np.log(6.0), rel=EPS)
+
+
+def test_pfaffian_transforms_with_the_determinant():
+    """Pf(B A B^T) = det(B) Pf(A) for any square B."""
+    rng = np.random.default_rng(12)
+    for m in (2, 4, 6, 10, 18, 32):
+        for _ in range(3):
+            a = random_antisymmetric(rng, m)
+            b = rng.normal(size=(m, m))
+            bab = b @ a @ b.T
+            bab = 0.5 * (bab - bab.T)
+            want = np.linalg.det(b) * linalg.pfaffian(a)
+            assert linalg.pfaffian(bab) == pytest.approx(want, rel=1e-9)
+
+
+def test_slog_pfaffian_matches_schur_at_large_order():
+    """At orders 256 and 300 the Householder Pfaffian still matches the
+    Schur reference."""
+    rng = np.random.default_rng(13)
+    for m in (256, 300):
+        a = random_antisymmetric(rng, m)
+        sign, log = linalg.slog_pfaffian(a)
+        want_sign, want_log = schur_pfaffian(a)
+        assert sign == want_sign
+        assert log == pytest.approx(want_log, rel=1e-10)

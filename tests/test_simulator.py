@@ -34,6 +34,7 @@ from matchcliff.simulator import (
 
 from conftest import (
     conjugated_circuit,
+    invert_clifford_gates,
     random_basis_input,
     random_clifford_gates,
     random_linear_layer,
@@ -582,3 +583,106 @@ def test_classify_circuit_answers_when_compile_refuses():
     with pytest.raises(simulator.CompileError):
         compile_circuit(c)
     assert classify_circuit(c).flags == {"PIpO"}
+
+
+def _swap_destinations(n, gates):
+    """pi[q]: the qubit that the content of qubit q reaches through the
+    SWAPs of gates, applied in order; other gates move nothing."""
+    where = list(range(n))
+    for g in gates:
+        if g.gate == "SWAP":
+            a, b = g.qubits
+            where = [b if w == a else a if w == b else w for w in where]
+    return where
+
+
+@given(
+    st.integers(min_value=2, max_value=256),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_conjugated_marginals_equal_the_relabelled_free_circuit(n, seed, cz_basis):
+    """C U C^dag on an input equals U on C|input>, read at pi(q): for SWAPs
+    on a product input and for CZs and SWAPs on a basis input, the
+    marginals equal those of the free circuit on the relabelled input."""
+    rng = np.random.default_rng(seed)
+    names = ("SWAP", "CZ") if cz_basis else ("SWAP",)
+    gates = random_clifford_gates(rng, n, n, names=names)
+    body = random_matchgate_layers(rng, n, n)
+    pi = _swap_destinations(n, gates)
+    if cz_basis:
+        inp = random_basis_input(rng, n)
+        moved = [None] * n
+        for q, b in enumerate(inp.bits):
+            moved[pi[q]] = b
+        free_input = BasisInput(tuple(moved))
+    else:
+        inp = random_product_input(rng, n)
+        moved = [None] * n
+        for q, angle in enumerate(inp.angles):
+            moved[pi[q]] = angle
+        free_input = ProductInput(tuple(moved))
+    c = Circuit(n, inp, tuple(gates + body + invert_clifford_gates(gates)), "conjugated")
+    free = Circuit(n, free_input, tuple(body), "free")
+    for _ in range(4):
+        k = int(rng.integers(1, min(n, 6) + 1))
+        qubits = tuple(int(x) for x in rng.choice(n, size=k, replace=False))
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=k))
+        got = run_marginal(c, MarginalQuery(qubits, bits))
+        want = run_marginal(free, MarginalQuery(tuple(pi[q] for q in qubits), bits))
+        assert abs(got - want) <= 1e-12
+
+
+def _granted_marginal_circuits(rng, n):
+    swaps = random_clifford_gates(rng, n, 4, names=("SWAP",))
+    mixed = random_clifford_gates(rng, n, 4, names=("SWAP", "CZ"))
+    cnots = [CliffordLayer("CNOT", (0, 1)), CliffordLayer("CNOT", (2, 1))]
+    return {
+        "free_basis": Circuit(n, random_basis_input(rng, n), tuple(random_matchgate_layers(rng, n, 4))),
+        "free_product": Circuit(n, random_product_input(rng, n), tuple(random_matchgate_layers(rng, n, 4))),
+        "swap_product": conjugated_circuit(rng, n, random_product_input(rng, n), swaps),
+        "cz_swap_basis": conjugated_circuit(rng, n, random_basis_input(rng, n), mixed),
+        "permutation": conjugated_circuit(rng, n, random_basis_input(rng, n), cnots),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["free_basis", "free_product", "swap_product", "cz_swap_basis", "permutation"]
+)
+def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
+    """A circuit's first marginal builds its readout; later marginals
+    neither evolve nor build nor look up a covariance."""
+    rng = np.random.default_rng(17)
+    n = 4
+    c = _granted_marginal_circuits(rng, n)[kind]
+    full = kind == "permutation"
+    if full:
+        assert compile_circuit(c).conj_class == tableau.CliffordClass.PERMUTATION
+
+    def query():
+        k = n if full else int(rng.integers(1, n + 1))
+        qubits = tuple(int(x) for x in rng.choice(n, size=k, replace=False))
+        return MarginalQuery(qubits, tuple(int(b) for b in rng.integers(0, 2, size=k)))
+
+    run_marginal(c, query())
+    calls = dict.fromkeys(("evolve", "product_state_covariance", "_body_covariance_cached"), 0)
+    for owner, name in (
+        (gaussian, "evolve"),
+        (gaussian, "product_state_covariance"),
+        (simulator, "_body_covariance_cached"),
+    ):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    ref = oracle.apply_circuit(c)
+    for _ in range(8):
+        q = query()
+        got = run_marginal(c, q)
+        assert abs(got - oracle.marginal(ref, q.qubits, q.bits)) <= 1e-9
+    assert calls == dict.fromkeys(calls, 0)
+    # the counters are live: a covariance lookup is counted
+    simulator.body_covariance(compile_circuit(c))
+    assert calls["_body_covariance_cached"] == 1
