@@ -42,14 +42,38 @@ class BasisInput:
     def n(self) -> int:
         return len(self.bits)
 
+    def bloch(self) -> np.ndarray:
+        """(n, 3) Bloch vectors (x, y, z): bit b is (0, 0, 1 - 2b)."""
+        vectors = np.zeros((self.n, 3))
+        vectors[:, 2] = 1.0 - 2.0 * np.array(self.bits, dtype=float)
+        return vectors
+
 
 @dataclass(frozen=True)
 class ProductInput:
     angles: tuple  # (theta, phi) per qubit, radians
 
+    def __post_init__(self):
+        try:
+            angles = np.array(self.angles, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CircuitParseError(f"bad product angles: {exc}") from exc
+        if angles.ndim != 2 or angles.shape[1] != 2:
+            raise CircuitParseError("product input needs one (theta, phi) pair per qubit")
+        if not np.isfinite(angles).all():
+            raise CircuitParseError("product input angles must be finite")
+        object.__setattr__(self, "angles", tuple(map(tuple, angles.tolist())))
+
     @property
     def n(self) -> int:
         return len(self.angles)
+
+    def bloch(self) -> np.ndarray:
+        """(n, 3) Bloch vectors (sin theta cos phi, sin theta sin phi,
+        cos theta) of cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
+        theta, phi = np.array(self.angles).T
+        sin = np.sin(theta)
+        return np.stack([sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -92,6 +116,8 @@ class Circuit:
     structure: str = "free"
 
     def __post_init__(self):
+        if self.n < 1:
+            raise CircuitParseError(f"a circuit needs at least one qubit, got n = {self.n}")
         if self.structure not in STRUCTURES:
             raise CircuitParseError(f"unknown structure {self.structure!r}")
         if self.input.n != self.n:

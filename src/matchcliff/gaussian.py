@@ -1,12 +1,12 @@
 """Covariance-matrix representation of fermionic Gaussian states.
 
-gamma_jk = -(i/2) <[c_j, c_k]> over the chain-form Majoranas.  Two
-frameworks: "standard" (2n Majoranas on n qubits, basis-state inputs)
-and "extended" (2n+2 Majoranas on n+1 qubits; an ancilla qubit at
-physical position 0 lets linear Majorana terms act as quadratic ones,
-so product-state inputs and parity-breaking observables become
-Gaussian-tractable).  Logical qubit i sits at physical qubit i+1 in
-the extended framework.
+gamma_jk = -(i/2) <[c_j, c_k]> over the 2n+2 chain-form Majoranas of
+n+1 qubits: an ancilla qubit at physical position 0, then logical qubit
+i at physical qubit i+1.  The ancilla lets linear Majorana terms act as
+quadratic ones (Jozsa-Miyake, arXiv:0804.4050; Bravyi,
+quant-ph/0404180), so every input is a product state given by its Bloch
+vectors, a basis state among them, and parity-breaking observables are
+read by the same Pfaffians as the others.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ import numpy as np
 
 from . import linalg
 from .encodings import (
-    EXTENDED,
-    STANDARD,
     chain_decompose,
     decompose_pauli,  # unused here; bench/tracing.py wraps this binding
     embed_l12,
@@ -54,16 +52,15 @@ class MarginalQuery:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    gamma: np.ndarray
-    framework: str  # STANDARD or EXTENDED
+    gamma: np.ndarray  # (2n+2, 2n+2), the ancilla pair first
     n: int  # logical qubit count
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
         linalg.check_antisymmetric(g, TOL.antisymmetry * 10)
-        m = 2 * self.n if self.framework == STANDARD else 2 * self.n + 2
+        m = 2 * self.n + 2
         if g.shape != (m, m):
-            raise FrameworkError(f"gamma shape {g.shape} does not match framework")
+            raise FrameworkError(f"gamma shape {g.shape} does not fit {self.n} qubits")
         if not np.max(np.abs(g)) <= 1.0 + TOL.covariance_entry:
             raise InternalConsistencyError("covariance entries outside [-1, 1]")
         g.flags.writeable = False
@@ -72,49 +69,6 @@ class CovarianceMatrix:
     def purity_defect(self) -> float:
         m = self.gamma.shape[0]
         return float(np.max(np.abs(self.gamma @ self.gamma.T - np.eye(m))))
-
-    def check_pure(self, tol: float = TOL.purity):
-        d = self.purity_defect()
-        if not d <= tol:
-            raise InternalConsistencyError(f"state not pure: defect {d:.3e}")
-
-
-def _basis_blocks(bits) -> np.ndarray:
-    m = 2 * len(bits)
-    g = np.zeros((m, m))
-    for i, b in enumerate(bits):
-        s = 1.0 if int(b) == 0 else -1.0
-        g[2 * i, 2 * i + 1] = s
-        g[2 * i + 1, 2 * i] = -s
-    return g
-
-
-def init_covariance(inp) -> CovarianceMatrix:
-    """Covariance of the input state descriptor.
-
-    Basis inputs use the standard framework; product inputs use the
-    extended one (built by product_state_covariance).
-    """
-    from .circuits import BasisInput, ProductInput
-
-    if isinstance(inp, BasisInput):
-        return CovarianceMatrix(_basis_blocks(inp.bits), STANDARD, inp.n)
-    if isinstance(inp, ProductInput):
-        return product_state_covariance(inp.angles)
-    raise TypeError(f"unknown input descriptor {inp!r}")
-
-
-def embed_basis_covariance(c: CovarianceMatrix) -> CovarianceMatrix:
-    """Lift a standard-framework covariance into the extended framework
-    (ancilla qubit prepended in |0>)."""
-    if c.framework != STANDARD:
-        raise FrameworkError("already extended")
-    m = c.gamma.shape[0]
-    g = np.zeros((m + 2, m + 2))
-    g[0, 1] = 1.0
-    g[1, 0] = -1.0
-    g[2:, 2:] = c.gamma
-    return CovarianceMatrix(g, EXTENDED, c.n)
 
 
 def pauli_terms_to_h(terms, n: int) -> np.ndarray:
@@ -158,27 +112,25 @@ def evolve(c: CovarianceMatrix, rotations, tol: Tolerances = TOL) -> CovarianceM
             linalg.check_rotation(r, tol.orthogonality)
         if r.shape != (k, k) or not 0 <= offset <= m - k:
             raise FrameworkError("rotation block does not fit the covariance")
-        if c.framework == EXTENDED and offset == 0:
+        if offset == 0:
             e0 = np.eye(k)[0]
             dev = max(np.max(np.abs(r[0] - e0)), np.max(np.abs(r[:, 0] - e0)))
             if not dev <= tol.orthogonality:
-                raise FrameworkError(
-                    "extended-framework rotations must leave the first Majorana fixed"
-                )
+                raise FrameworkError("rotations must leave the first Majorana fixed")
     g = linalg.rotate_rows(np.array(c.gamma), blocks)  # S gamma
     # gamma S^T = -(S gamma)^T, copied so that its rows are contiguous
     g = linalg.rotate_rows(np.ascontiguousarray(-g.T), blocks)
-    return CovarianceMatrix(g, c.framework, c.n)
+    return CovarianceMatrix(g, c.n)
 
 
 @functools.lru_cache(maxsize=1024)
-def product_state_covariance(angles) -> CovarianceMatrix:
-    """Extended-framework covariance of the product state with per-qubit
-    angles (theta, phi): cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
+def product_state_covariance(inp) -> CovarianceMatrix:
+    """Covariance of an input descriptor, a product state given by the
+    Bloch vectors (x, y, z) of its qubits (`inp.bloch()`); a basis bit b
+    is (0, 0, 1 - 2b).
 
-    In closed form from the Bloch vectors (x, y, z) = (sin theta cos phi,
-    sin theta sin phi, cos theta), the ancilla counting as a site before
-    the logical qubits with (x, y, z) = (1, 0, prod of all z).  For sites
+    In closed form, the ancilla counting as a site before the logical
+    qubits with (x, y, z) = (1, 0, prod of all z).  For sites
     a < b, with P the product of z over the sites strictly between them,
         gamma[2a, 2b] = -y_a P x_b      gamma[2a, 2b+1] = -y_a P y_b
         gamma[2a+1, 2b] = x_a P x_b     gamma[2a+1, 2b+1] = x_a P y_b
@@ -186,13 +138,14 @@ def product_state_covariance(angles) -> CovarianceMatrix:
     logical qubit j, with A the product of z over the qubits after j,
         gamma[0, 2j+2] = -y_j A         gamma[0, 2j+3] = x_j A.
     Every product is cumulative, never a quotient, since z = 0 at
-    theta = pi/2.
+    theta = pi/2.  A basis input has x = y = 0, so every entry off the
+    pairs (2a, 2a+1) is an exact zero, and the ancilla pair holds the
+    input's parity.
     """
-    n = len(angles)
-    theta, phi = np.asarray(angles, dtype=float).reshape(n, 2).T
-    cz = np.cos(theta)
-    x = np.concatenate([[1.0], np.sin(theta) * np.cos(phi)])
-    y = np.concatenate([[0.0], np.sin(theta) * np.sin(phi)])
+    n = inp.n
+    bx, by, cz = inp.bloch().T
+    x = np.concatenate([[1.0], bx])
+    y = np.concatenate([[0.0], by])
     z = np.concatenate([[np.prod(cz)], cz])
     sites = np.arange(n + 1)
     later = sites[None, :] > sites[:, None]
@@ -210,7 +163,7 @@ def product_state_covariance(angles) -> CovarianceMatrix:
     after[:-1] = np.cumprod(cz[::-1])[::-1][1:]
     g[0, 2::2] = -y[1:] * after
     g[0, 3::2] = x[1:] * after
-    return CovarianceMatrix(g - g.T, EXTENDED, n)
+    return CovarianceMatrix(g - g.T, n)
 
 
 def monomial_expectation(c: CovarianceMatrix, indices) -> float:
@@ -230,15 +183,13 @@ def monomial_expectation(c: CovarianceMatrix, indices) -> float:
 def pauli_expectation(
     c: CovarianceMatrix, p: PauliString, tol: Tolerances = TOL
 ) -> float:
-    """<p> on the Gaussian state, exact via Wick's theorem."""
+    """<p> on the Gaussian state, exact via Wick's theorem.  The embedded
+    string embed_l12(p) is a product of an even number of Majoranas."""
     if p.n != c.n:
         raise ValueError("length mismatch")
     if not p.is_hermitian():
         raise ValueError("expectation of a non-Hermitian string")
-    query = p if c.framework == STANDARD else embed_l12(p)
-    indices, phase = chain_decompose(query)
-    if len(indices) % 2:
-        return 0.0  # parity superselection in the standard framework
+    indices, phase = chain_decompose(embed_l12(p))
     k = len(indices) // 2
     val = phase * (1j**k) * monomial_expectation(c, indices)
     if not abs(val.imag) <= tol.expectation_imag:
@@ -253,11 +204,10 @@ _OUTCOME_SIGNS = np.array([1.0, -1.0])
 
 
 @functools.lru_cache(maxsize=64)
-def majorana_pairs(framework: str, n: int) -> np.ndarray:
-    """Read-only (n, 2) table whose row q is the Majorana pair (a, a+1)
-    with Z_q = -i c_a c_{a+1} in the framework."""
-    first = 2 if framework == EXTENDED else 0
-    pairs = np.arange(first, first + 2 * n, dtype=np.intp).reshape(n, 2)
+def majorana_pairs(n: int) -> np.ndarray:
+    """Read-only (n, 2) table whose row q is the Majorana pair
+    (2q + 2, 2q + 3) with Z_q = -i c_{2q+2} c_{2q+3}."""
+    pairs = np.arange(2, 2 * n + 2, dtype=np.intp).reshape(n, 2)
     pairs.flags.writeable = False
     return pairs
 
@@ -278,12 +228,11 @@ def marginal_probability(
     it equals sqrt|det((Gamma_S + D) / 2)|: one LAPACK determinant in
     the log domain, which neither overflows nor cancels a k ln 2 term.
 
-    Qubit q reads the Majorana pair pairs[q], the frame's own pair by
-    default; a compiled circuit's readout table folds its qubit
-    permutation in.
+    Qubit q reads the Majorana pair pairs[q], its own pair by default;
+    a compiled circuit's readout table folds its qubit permutation in.
     """
     if pairs is None:
-        pairs = majorana_pairs(c.framework, c.n)
+        pairs = majorana_pairs(c.n)
     qubits = q.qubits
     if qubits and not (min(qubits) >= 0 and max(qubits) < len(pairs)):
         raise IndexError(f"query qubits {qubits} out of range")

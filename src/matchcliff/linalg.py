@@ -15,7 +15,6 @@ class Tolerances:
     antisymmetry: float = 1e-12
     orthogonality: float = 1e-10
     orthogonality_polish: float = 1e-12
-    purity: float = 1e-8
     probability: float = 1e-8
     expectation_imag: float = 1e-9
     covariance_entry: float = 1e-9  # |gamma_jk| <= 1 + this

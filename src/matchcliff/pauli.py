@@ -171,12 +171,6 @@ class PauliString:
         """Concatenated (x | z) bit vector, length 2n."""
         return np.concatenate([self.x, self.z])
 
-    @staticmethod
-    def from_symplectic(vec: np.ndarray, phase_exp: int = 0) -> "PauliString":
-        vec = np.asarray(vec, dtype=np.uint8)
-        n = vec.shape[0] // 2
-        return PauliString(vec[:n], vec[n:], phase_exp)
-
     # -- basis-state / dense action ------------------------------------
 
     def apply_to_bits(self, bits: np.ndarray) -> tuple[np.ndarray, complex]:

@@ -25,14 +25,7 @@ from .circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from .encodings import (
-    EXTENDED,
-    STANDARD,
-    chain_decompose,
-    chain_majorana,
-    chain_monomials,
-    embed_l12,
-)
+from .encodings import chain_decompose, chain_majorana, chain_monomials, embed_l12
 from .gaussian import CovarianceMatrix, MarginalQuery
 from .pauli import _X, _Y, _Z, PauliString
 from .tableau import CliffordClass, CliffordTableau
@@ -108,9 +101,9 @@ _GENERATOR_MAP = _generator_map()
 def matchgate_generator(coeffs) -> np.ndarray:
     """4x4 antisymmetric generator of a matchgate on (k, k+1), for
     coefficient rows (..., 6) in the order (a0, a1, b1, b2, d1, d2): the
-    block of pauli_terms_to_h(matchgate_terms(...)) on Majoranas
-    2k..2k+3, or 2k+2..2k+5 in the extended frame, zero everywhere else.
-    The block is the same for every k and in both frames.  Returns an
+    block of pauli_terms_to_h(matchgate_terms(...)) on the logical
+    Majoranas 2k..2k+3, which are 2k+2..2k+5 of the covariance, zero
+    everywhere else.  The block is the same for every k.  Returns an
     array of shape (..., 4, 4)."""
     coeffs = np.asarray(coeffs, dtype=float)
     return (coeffs @ _GENERATOR_MAP).reshape(coeffs.shape[:-1] + (4, 4))
@@ -125,20 +118,16 @@ def layer_terms(lay, n: int) -> list:
     raise TypeError(f"no term form for {lay!r}")
 
 
-def layer_rotation(lay, n: int, frame: str) -> np.ndarray:
-    """Dense Majorana rotation of exp(-i H_layer) in the given framework."""
+def layer_rotation(lay, n: int) -> np.ndarray:
+    """Dense rotation of exp(-i H_layer) on the 2n+2 Majoranas of the
+    covariance."""
     if isinstance(lay, QuadraticLayer):
-        h = lay.h_matrix()
-        if frame == EXTENDED:
-            hp = np.zeros((2 * n + 2, 2 * n + 2))
-            hp[2:, 2:] = h
-            h = hp
-        return linalg.expm_antisymmetric(h)
-    terms = layer_terms(lay, n)
-    if frame == EXTENDED:
-        terms = [(c, embed_l12(p)) for c, p in terms]
-        n += 1
-    return linalg.expm_antisymmetric(gaussian.pauli_terms_to_h(terms, n))
+        h = np.zeros((2 * n + 2, 2 * n + 2))
+        h[2:, 2:] = lay.h_matrix()
+    else:
+        terms = [(c, embed_l12(p)) for c, p in layer_terms(lay, n)]
+        h = gaussian.pauli_terms_to_h(terms, n + 1)
+    return linalg.expm_antisymmetric(h)
 
 
 @dataclass(frozen=True)
@@ -155,7 +144,6 @@ class CompiledCircuit:
     """A circuit with everything its queries share, computed once."""
 
     circuit: Circuit
-    frame: str
     conj: CliffordTableau | None
     post: CliffordTableau | None
     # per body layer, in application order: (offset, R) with R rotating
@@ -179,11 +167,10 @@ class CompiledCircuit:
     @functools.cached_property
     def body_product(self) -> np.ndarray:
         """S = R_L ... R_1 on the 2n logical Majoranas.  A body without
-        linear layers fixes the extended frame's ancilla pair, so there S
-        is the [2:, 2:] block of the product."""
+        linear layers fixes the ancilla pair, so there S is the [2:, 2:]
+        block of the product."""
         m = 2 * self.circuit.n
-        s = np.eye(m + 2 if self.frame == EXTENDED else m)
-        return linalg.rotate_rows(s, self.rotations)[-m:, -m:]
+        return linalg.rotate_rows(np.eye(m + 2), self.rotations)[-m:, -m:]
 
     @functools.cached_property
     def readout(self) -> Readout:
@@ -204,7 +191,7 @@ class CompiledCircuit:
         elif self.input_action is not None:
             inp = BasisInput(self.input_action[0])
         cov = body_covariance(self, inp)
-        pairs = gaussian.majorana_pairs(cov.framework, c.n)
+        pairs = gaussian.majorana_pairs(c.n)
         if perm is not None:
             pairs = pairs[list(perm)]
         return Readout(cov, pairs)
@@ -212,11 +199,6 @@ class CompiledCircuit:
 
 @functools.lru_cache(maxsize=256)
 def compile_circuit(c: Circuit) -> CompiledCircuit:
-    frame = (
-        EXTENDED
-        if isinstance(c.input, ProductInput) or c.has_linear()
-        else STANDARD
-    )
     extra = {}
     conj = post = None
     if c.structure == "conjugated":
@@ -248,14 +230,13 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
             matchgate_generator(np.array(coeffs, dtype=float).reshape(-1, 6))
         )
     )
-    shift = 2 if frame == EXTENDED else 0
     rotations = tuple(
-        (2 * lay.qubit + shift, next(local))
+        (2 * lay.qubit + 2, next(local))
         if isinstance(lay, MatchgateLayer)
-        else (0, layer_rotation(lay, c.n, frame))
+        else (0, layer_rotation(lay, c.n))
         for lay in layers
     )
-    return CompiledCircuit(c, frame, conj, post, rotations, **extra)
+    return CompiledCircuit(c, conj, post, rotations, **extra)
 
 
 def body_covariance(cc: CompiledCircuit, inp=None) -> CovarianceMatrix:
@@ -268,14 +249,9 @@ def body_covariance(cc: CompiledCircuit, inp=None) -> CovarianceMatrix:
 
 @functools.lru_cache(maxsize=1024)
 def _body_covariance_cached(c: Circuit, inp) -> CovarianceMatrix:
-    cc = compile_circuit(c)
-    if isinstance(inp, BasisInput):
-        cov = gaussian.init_covariance(inp)
-        if cc.frame == EXTENDED:
-            cov = gaussian.embed_basis_covariance(cov)
-    else:
-        cov = gaussian.product_state_covariance(inp.angles)
-    return gaussian.evolve(cov, cc.rotations)
+    return gaussian.evolve(
+        gaussian.product_state_covariance(inp), compile_circuit(c).rotations
+    )
 
 
 def _conjugation_class(c: Circuit) -> CliffordClass:
@@ -374,15 +350,8 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
 
 def _input_table(inp) -> np.ndarray:
     """(n, 4) table of <X^x Z^z> on each input qubit, in column 2x + z,
-    from the Bloch vector (x, y, z); XZ = -iY, and basis bit b has Bloch
-    vector (0, 0, (-1)^b)."""
-    if isinstance(inp, BasisInput):
-        bz = 1.0 - 2.0 * np.asarray(inp.bits, dtype=float)
-        bx = by = np.zeros_like(bz)
-    else:
-        theta, phi = np.asarray(inp.angles, dtype=float).reshape(-1, 2).T
-        bx, by = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
-        bz = np.cos(theta)
+    from the Bloch vector (x, y, z); XZ = -iY."""
+    bx, by, bz = inp.bloch().T
     return np.stack([np.ones_like(bz), bz, bx, -1j * by], axis=1)
 
 
@@ -408,6 +377,8 @@ def restricted_pauli_expectation(
     when the query needs more than d_max Majorana factors (hard cap 6).
     """
     _check_d_max(d_max)
+    if not p.is_hermitian():
+        raise ValueError("expectation of a non-Hermitian string")
     cc = _compiled if _compiled is not None else compile_circuit(c)
     if c.structure not in ("conjugated", "free"):
         raise UnsupportedQuery("restricted path needs a conjugated or free circuit")

@@ -123,6 +123,7 @@ def test_bad_documents_raise_parse_errors():
     for mutate in (
         lambda d: d.update(structure="bogus"),
         lambda d: d.update(n=-1),
+        lambda d: d.update(n=0, input={"kind": "basis", "bits": ""}, layers=[]),
         lambda d: d["layers"].append({"kind": "mystery"}),
         lambda d: d["input"].update(kind="mystery"),
     ):
@@ -130,6 +131,23 @@ def test_bad_documents_raise_parse_errors():
         mutate(doc)
         with pytest.raises(CircuitParseError):
             from_json_doc(doc)
+
+
+def test_product_input_refuses_non_finite_angles_and_non_pairs():
+    nan, inf = float("nan"), float("inf")
+    for angles in (
+        ((0.1, nan),),
+        ((inf, 0.0), (0.2, 0.3)),
+        ((0.1,),),
+        ((0.1, 0.2, 0.3),),
+        ((0.1, (0.2,)),),
+        (("x", 0.1),),
+        (0.1, 0.2),
+        (),
+    ):
+        with pytest.raises(CircuitParseError):
+            ProductInput(angles)
+    assert ProductInput([(np.float64(0.5), 1)]).angles == ((0.5, 1.0),)
 
 
 def test_matchgate_layer_validates_qubit_range():

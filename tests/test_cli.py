@@ -232,3 +232,48 @@ def test_marginal_bits_other_than_0_and_1_are_input_errors(capsys):
         assert code == 1
         assert out == ""
         assert "error=" in err
+
+
+@pytest.mark.parametrize(
+    "fixture, pauli",
+    [("free_n3.json", "iZII"), ("swap_conj_n3.json", "iZII"), ("ghz4.json", "iZIIIII")],
+)
+def test_non_hermitian_pauli_is_input_error_on_every_route(capsys, fixture, pauli):
+    """The restricted route ended in a traceback on swap_conj_n3 and
+    printed value=0.0 on ghz4."""
+    code, out, err = run_cli(capsys, "expect", f"{FIXTURES}/{fixture}", "--pauli", pauli)
+    assert code == 1
+    assert out == ""
+    assert "error=expectation of a non-Hermitian string" in err
+
+
+def test_zero_qubit_circuit_is_input_error(capsys, tmp_path):
+    """oracle-check ended in a ValueError traceback."""
+    path = tmp_path / "empty.json"
+    doc = {"n": 0, "input": {"kind": "basis", "bits": ""}, "structure": "free", "layers": []}
+    path.write_text(json.dumps(doc))
+    for argv in (("oracle-check",), ("classify",)):
+        code, out, err = run_cli(capsys, argv[0], str(path))
+        assert code == 1
+        assert out == ""
+        assert "error=a circuit needs at least one qubit" in err
+
+
+@pytest.mark.parametrize("key, value", [("theta", float("nan")), ("phi", float("inf"))])
+def test_non_finite_product_angles_are_input_errors(capsys, tmp_path, key, value):
+    """expect and marginal reported a nan antisymmetry error, and
+    oracle-check ended in a traceback."""
+    qubits = [{"theta": 0.3, "phi": 0.1}, {"theta": 1.2, "phi": 0.2}]
+    qubits[1][key] = value
+    doc = {"n": 2, "input": {"kind": "product", "qubits": qubits}, "structure": "free", "layers": []}
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ("expect", "--pauli", "ZZ"),
+        ("marginal", "--qubits", "0", "--bits", "1"),
+        ("oracle-check",),
+    ):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert "error=product input angles must be finite" in err

@@ -1,15 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcliff import gaussian, linalg, oracle
-from matchcliff.encodings import jordan_wigner
+from matchcliff.encodings import chain_decompose, embed_l12, jordan_wigner
 from matchcliff.gaussian import (
     CovarianceMatrix,
     MarginalQuery,
     evolve,
-    init_covariance,
     marginal_probability,
     pauli_expectation,
     pauli_terms_to_h,
@@ -21,7 +22,7 @@ from matchcliff.pauli import PauliString
 
 
 def test_vacuum_covariance_expectations():
-    c = init_covariance(BasisInput((0, 0, 0)))
+    c = product_state_covariance(BasisInput((0, 0, 0)))
     assert pauli_expectation(c, PauliString.from_string("ZII")) == pytest.approx(1.0)
     assert pauli_expectation(c, PauliString.from_string("IZI")) == pytest.approx(1.0)
     assert pauli_expectation(c, PauliString.from_string("ZZI")) == pytest.approx(1.0)
@@ -29,24 +30,24 @@ def test_vacuum_covariance_expectations():
 
 
 def test_excited_bit_flips_sign():
-    c = init_covariance(BasisInput((1, 0)))
+    c = product_state_covariance(BasisInput((1, 0)))
     assert pauli_expectation(c, PauliString.from_string("ZI")) == pytest.approx(-1.0)
     assert pauli_expectation(c, PauliString.from_string("IZ")) == pytest.approx(1.0)
 
 
 def test_parity_breaking_strings_vanish():
-    c = init_covariance(BasisInput((0, 1, 0)))
+    c = product_state_covariance(BasisInput((0, 1, 0)))
     for s in ("XII", "IYI", "XZI", "ZZY"):
         assert pauli_expectation(c, PauliString.from_string(s)) == 0.0
 
 
 def test_covariance_requires_antisymmetry():
     with pytest.raises(ValueError):
-        CovarianceMatrix(np.eye(4), "standard", 2)
+        CovarianceMatrix(np.eye(6), 2)
 
 
 def test_vacuum_marginals():
-    c = init_covariance(BasisInput((0,)))
+    c = product_state_covariance(BasisInput((0,)))
     assert marginal_probability(c, MarginalQuery((0,), (0,))) == pytest.approx(1.0)
     assert marginal_probability(c, MarginalQuery((0,), (1,))) == pytest.approx(0.0)
 
@@ -64,7 +65,7 @@ def test_marginals_match_oracle_after_evolution():
             for j in range(2 * n)
             if i != j
         ]
-        cov = evolve(init_covariance(BasisInput((0,) * n)), [(0, expm_antisymmetric(h))])
+        cov = evolve(product_state_covariance(BasisInput((0,) * n)), [(2, expm_antisymmetric(h))])
         st = oracle.basis_state(n, (0,) * n)
         hmat = sum(
             1j * h[i, j] * jw.majoranas[i].dense() @ jw.majoranas[j].dense()
@@ -83,11 +84,11 @@ def test_marginals_match_oracle_after_evolution():
 def test_evolution_preserves_purity():
     rng = np.random.default_rng(1)
     n = 4
-    c = init_covariance(BasisInput((0, 1, 0, 1)))
+    c = product_state_covariance(BasisInput((0, 1, 0, 1)))
     for _ in range(5):
         h = rng.normal(size=(2 * n, 2 * n))
         h = h - h.T
-        c = evolve(c, [(0, expm_antisymmetric(h))])
+        c = evolve(c, [(2, expm_antisymmetric(h))])
         assert c.purity_defect() <= 1e-8
 
 
@@ -96,15 +97,13 @@ def test_product_state_covariance_matches_oracle():
     for trial in range(8):
         n = int(rng.integers(2, 5))
         angles = tuple((float(t), float(p)) for t, p in rng.normal(size=(n, 2)))
-        cov = product_state_covariance(angles)
-        assert cov.framework == "extended"
+        cov = product_state_covariance(ProductInput(angles))
+        assert cov.gamma.shape == (2 * n + 2, 2 * n + 2)
         st = oracle.product_state(angles)
         # single-qubit expectations through the embedded frame
         for q in range(n):
             z = PauliString.single(n, q, "Z")
             want = oracle.expectation(st, z).real
-            from matchcliff.encodings import embed_l12
-
             got = pauli_expectation(cov, z)
             assert abs(got - want) <= 1e-10
 
@@ -143,7 +142,7 @@ def test_marginal_distribution_normalizes():
     n = 4
     h = rng.normal(size=(2 * n, 2 * n)) * 0.5
     h = h - h.T
-    cov = evolve(init_covariance(BasisInput((0, 1, 1, 0))), [(0, expm_antisymmetric(h))])
+    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), [(2, expm_antisymmetric(h))])
     import itertools
 
     for qubits in ((2,), (0, 3), (1, 2, 3)):
@@ -166,13 +165,13 @@ def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
     rng = np.random.default_rng(seed)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
     h = rng.normal(size=(2 * n, 2 * n)) * scale
-    cov = evolve(init_covariance(BasisInput(bits)), [(0, expm_antisymmetric(h - h.T))])
+    cov = evolve(product_state_covariance(BasisInput(bits)), [(2, expm_antisymmetric(h - h.T))])
     k = int(rng.integers(1, n + 1))
     qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
     # mostly the likelier outcome per qubit, so the products stay sizeable
-    likely = [int(cov.gamma[2 * q, 2 * q + 1] < 0) for q in qubits]
+    likely = [int(cov.gamma[2 * q + 2, 2 * q + 3] < 0) for q in qubits]
     out = tuple(b ^ int(f) for b, f in zip(likely, rng.random(k) < 0.1))
-    idx = [i for q in qubits for i in (2 * q, 2 * q + 1)]
+    idx = [i for q in qubits for i in (2 * q + 2, 2 * q + 3)]
     sub = cov.gamma[np.ix_(idx, idx)].copy()
     signs = [1.0 - 2.0 * b for b in out]
     for i, s in enumerate(signs):
@@ -187,7 +186,7 @@ def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
 def test_empty_marginal_is_one():
     rng = np.random.default_rng(5)
     h = rng.normal(size=(6, 6))
-    cov = evolve(init_covariance(BasisInput((1, 0, 1))), [(0, expm_antisymmetric(h - h.T))])
+    cov = evolve(product_state_covariance(BasisInput((1, 0, 1))), [(2, expm_antisymmetric(h - h.T))])
     assert marginal_probability(cov, MarginalQuery((), ())) == 1.0
 
 
@@ -202,16 +201,19 @@ def _random_rotation(rng, m):
     st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=30, deadline=None)
-def test_block_evolve_equals_dense_conjugation(n, extended, seed):
+def test_block_evolve_equals_dense_conjugation(n, product, seed):
     rng = np.random.default_rng(seed)
-    start = init_covariance(BasisInput(tuple(int(b) for b in rng.integers(0, 2, size=n))))
-    if extended:
-        start = gaussian.embed_basis_covariance(start)
+    if product:
+        inp = ProductInput(tuple(map(tuple, rng.normal(size=(n, 2)))))
+    else:
+        inp = BasisInput(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+    start = product_state_covariance(inp)
     m = start.gamma.shape[0]
-    lo = 2 if extended else 0  # extended blocks leave the ancilla pair alone
-    blocks = [(int(rng.integers(lo, m - 3)), _random_rotation(rng, 4)) for _ in range(3 * n)]
+    # matchgate blocks leave the ancilla pair alone; a dense block, like a
+    # linear layer's, fixes Majorana 0 only
+    blocks = [(int(rng.integers(2, m - 3)), _random_rotation(rng, 4)) for _ in range(3 * n)]
     dense = np.eye(m)
-    dense[lo:, lo:] = _random_rotation(rng, m - lo)
+    dense[1:, 1:] = _random_rotation(rng, m - 1)
     blocks.insert(n, (0, dense))
     s = np.eye(m)
     for off, r in blocks:
@@ -224,7 +226,7 @@ def test_block_evolve_equals_dense_conjugation(n, extended, seed):
 
 def test_evolve_refuses_blocks_that_break_the_frame():
     rng = np.random.default_rng(6)
-    cov = gaussian.embed_basis_covariance(init_covariance(BasisInput((0, 1))))
+    cov = product_state_covariance(BasisInput((0, 1)))
     with pytest.raises(gaussian.FrameworkError):
         evolve(cov, [(0, _random_rotation(rng, 4))])  # moves Majorana 0
     with pytest.raises(gaussian.FrameworkError):
@@ -233,7 +235,7 @@ def test_evolve_refuses_blocks_that_break_the_frame():
 
 def test_evolve_refuses_any_non_orthogonal_block():
     rng = np.random.default_rng(8)
-    cov = init_covariance(BasisInput((0, 1, 1, 0)))
+    cov = product_state_covariance(BasisInput((0, 1, 1, 0)))
     for k, order in ((2, 4), (1, 8)):
         blocks = [(2, _random_rotation(rng, 4)) for _ in range(4)]
         blocks.insert(k, (0, 1.001 * _random_rotation(rng, order)))
@@ -256,7 +258,7 @@ def test_closed_form_product_covariance_matches_oracle_on_degree_two():
     for n in range(1, 9):
         thetas = [special[q % 3] if q % 2 == 0 else rng.uniform(0, np.pi) for q in range(n)]
         angles = tuple((float(t), float(rng.uniform(0, 2 * np.pi))) for t in thetas)
-        cov = product_state_covariance(angles)
+        cov = product_state_covariance(ProductInput(angles))
         st = oracle.product_state(angles)
         for p in _hermitian_majorana_monomials(n):
             want = oracle.expectation(st, p).real
@@ -268,8 +270,46 @@ def test_closed_form_product_covariance_is_pure_at_n256():
     n = 256
     thetas = rng.choice([0.0, np.pi / 2, np.pi, 0.3, 2.0], size=n)
     angles = tuple((float(t), float(p)) for t, p in zip(thetas, rng.uniform(0, 2 * np.pi, n)))
-    gamma = product_state_covariance(angles).gamma
+    gamma = product_state_covariance(ProductInput(angles)).gamma
     assert np.max(np.abs(gamma @ gamma.T - np.eye(2 * n + 2))) <= 1e-12
+
+
+def test_basis_covariance_differs_from_the_lifted_block_form_only_in_majorana_0():
+    """A basis input's covariance is the block-diagonal form with exact
+    zeros off its pairs, and its ancilla pair holds the input's parity
+    where the block form lifted by an ancilla in |0> holds +1.  Every
+    rotation fixes Majorana 0 and no embedded query reads it, so both give
+    every expectation and marginal alike, with or without a linear layer."""
+    rng = np.random.default_rng(9)
+    n = 3
+    m = 2 * n + 2
+    paulis = [
+        PauliString.from_string("".join(letters))
+        for letters in itertools.product("IXYZ", repeat=n)
+    ]
+    assert all(0 not in chain_decompose(embed_l12(p))[0] for p in paulis)
+    for bits in itertools.product((0, 1), repeat=n):
+        lifted = np.zeros((m, m))
+        for site, z in enumerate((1.0,) + tuple(1.0 - 2.0 * b for b in bits)):
+            lifted[2 * site, 2 * site + 1], lifted[2 * site + 1, 2 * site] = z, -z
+        want = lifted.copy()
+        want[0, 1], want[1, 0] = (-1.0) ** sum(bits), -((-1.0) ** sum(bits))
+        cov = product_state_covariance(BasisInput(bits))
+        assert np.array_equal(cov.gamma, want)
+        # a linear layer's dense rotation mixes Majorana 1 into the others
+        dense = np.eye(m)
+        dense[1:, 1:] = _random_rotation(rng, m - 1)
+        blocks = [(int(rng.integers(2, m - 3)), _random_rotation(rng, 4)) for _ in range(4)]
+        for body in (blocks, blocks + [(0, dense)]):
+            new = evolve(cov, body)
+            old = evolve(CovarianceMatrix(lifted, n), body)
+            assert np.array_equal(new.gamma[1:, 1:], old.gamma[1:, 1:])
+            for p in paulis:
+                if p.is_hermitian():
+                    assert pauli_expectation(new, p) == pauli_expectation(old, p)
+            for out in itertools.product((0, 1), repeat=n):
+                q = MarginalQuery(tuple(range(n)), out)
+                assert marginal_probability(new, q) == marginal_probability(old, q)
 
 
 def test_marginal_query_refuses_bits_other_than_0_and_1():
@@ -285,15 +325,15 @@ def test_marginal_kernel_reads_the_given_pair_table():
     rng = np.random.default_rng(6)
     n = 4
     h = rng.normal(size=(2 * n, 2 * n))
-    cov = evolve(init_covariance(BasisInput((0, 1, 1, 0))), [(0, expm_antisymmetric(h - h.T))])
+    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), [(2, expm_antisymmetric(h - h.T))])
     perm = (2, 0, 3, 1)
-    pairs = gaussian.majorana_pairs(cov.framework, n)[list(perm)]
-    assert pairs.tolist() == [[4, 5], [0, 1], [6, 7], [2, 3]]
+    pairs = gaussian.majorana_pairs(n)[list(perm)]
+    assert pairs.tolist() == [[6, 7], [2, 3], [8, 9], [4, 5]]
     for bits in ((1, 0), (0, 1)):
         got = marginal_probability(cov, MarginalQuery((0, 3), bits), pairs=pairs)
         want = marginal_probability(cov, MarginalQuery((2, 1), bits))
         assert got == pytest.approx(want, abs=1e-14)
-    ext = gaussian.majorana_pairs("extended", 3)
+    ext = gaussian.majorana_pairs(3)
     assert ext.tolist() == [[2, 3], [4, 5], [6, 7]]
     assert not ext.flags.writeable
     for qubits in ((4,), (-1,), (0, 5)):
@@ -304,9 +344,9 @@ def test_marginal_kernel_reads_the_given_pair_table():
 def test_marginal_checks_the_antisymmetry_of_each_submatrix():
     """The covariance admits 10x the antisymmetry tolerance; each marginal
     checks its own Gamma_S + D at 1x, and only the qubits it reads."""
-    g = init_covariance(BasisInput((0, 1, 0))).gamma.copy()
-    g[2, 4] = 5e-12  # between qubits 1 and 2, unmatched by g[4, 2]
-    cov = CovarianceMatrix(g, "standard", 3)
+    g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
+    g[4, 6] = 5e-12  # between qubits 1 and 2, unmatched by g[6, 4]
+    cov = CovarianceMatrix(g, 3)
     assert marginal_probability(cov, MarginalQuery((0, 1), (0, 1))) == pytest.approx(1.0)
     with pytest.raises(linalg.NotAntisymmetric):
         marginal_probability(cov, MarginalQuery((1, 2), (1, 0)))

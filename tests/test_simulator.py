@@ -15,7 +15,7 @@ from matchcliff.circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from matchcliff.encodings import EXTENDED, STANDARD, chain_monomials
+from matchcliff.encodings import chain_monomials
 from matchcliff.gaussian import MarginalQuery
 from matchcliff.pauli import PauliString
 from matchcliff.simulator import (
@@ -350,7 +350,7 @@ def test_marginal_chain_rule_at_n256():
     )
     gamma = simulator.body_covariance(compile_circuit(c)).gamma
     qubits = tuple(int(q) for q in rng.choice(n, size=n // 2, replace=False))
-    bits = tuple(int(gamma[2 * q, 2 * q + 1] < 0) for q in qubits)
+    bits = tuple(int(gamma[2 * q + 2, 2 * q + 3] < 0) for q in qubits)
     extra = next(q for q in range(n) if q not in qubits)
     p = run_marginal(c, MarginalQuery(qubits, bits))
     split = [run_marginal(c, MarginalQuery(qubits + (extra,), bits + (b,))) for b in (0, 1)]
@@ -365,10 +365,10 @@ def test_compiled_clifford_data_matches_a_rebuild():
         gates = random_clifford_gates(rng, n, 5, names=("H", "S", "CNOT", "SWAP"))
         c = conjugated_circuit(rng, n, inp, gates, body_count=4)
         cc = compile_circuit(c)
-        s = np.eye(2 * n)
+        s = np.eye(2 * n + 2)
         for lay in c.body_layers():
-            s = layer_rotation(lay, n, STANDARD) @ s
-        assert np.max(np.abs(cc.body_product - s)) <= 1e-12
+            s = layer_rotation(lay, n) @ s
+        assert np.max(np.abs(cc.body_product - s[2:, 2:])) <= 1e-12
         conj = c.conjugation_tableau()
         # the restricted route dresses by the trailing block as C^-1
         assert c.post_tableau() == tableau.invert(conj)
@@ -393,20 +393,20 @@ def test_compiled_clifford_data_matches_a_rebuild():
     st.integers(min_value=2, max_value=16),
     st.data(),
     st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=6, max_size=6),
-    st.sampled_from((STANDARD, EXTENDED)),
+    st.sampled_from(("basis", "product")),
 )
 @settings(max_examples=60, deadline=None)
-def test_matchgate_block_equals_dense_layer_rotation(n, data, coeffs, frame):
+def test_matchgate_block_equals_dense_layer_rotation(n, data, coeffs, kind):
     k = data.draw(st.integers(min_value=0, max_value=n - 2))
     lay = MatchgateLayer(k, tuple(coeffs))
-    inp = BasisInput((0,) * n) if frame == STANDARD else ProductInput(((0.3, 0.1),) * n)
+    inp = BasisInput((0,) * n) if kind == "basis" else ProductInput(((0.3, 0.1),) * n)
     cc = compile_circuit(Circuit(n, inp, (lay,), "free"))
-    assert cc.frame == frame
     ((offset, r),) = cc.rotations
-    assert offset == 2 * k + (2 if frame == EXTENDED else 0)
-    full = np.eye(2 * n + (2 if frame == EXTENDED else 0))
+    assert offset == 2 * k + 2
+    full = np.eye(2 * n + 2)
     full[offset : offset + 4, offset : offset + 4] = r
-    assert np.max(np.abs(full - layer_rotation(lay, n, frame))) <= 1e-12
+    assert np.max(np.abs(full - layer_rotation(lay, n))) <= 1e-12
+    assert simulator.body_covariance(cc).gamma.shape == (2 * n + 2, 2 * n + 2)
 
 
 def test_compiled_rotations_are_local_for_matchgates_only():
@@ -423,7 +423,7 @@ def test_compiled_rotations_are_local_for_matchgates_only():
             Circuit(n, inp, tuple(body + [random_linear_layer(rng, n)]), "free"),
         ):
             cc = compile_circuit(c)
-            m = 2 * n + (2 if cc.frame == EXTENDED else 0)
+            m = 2 * n + 2
             for lay, (offset, r) in zip(c.body_layers(), cc.rotations):
                 if isinstance(lay, MatchgateLayer):
                     assert r.shape == (4, 4)
@@ -460,29 +460,29 @@ def test_compile_exponentiates_a_body_in_one_stacked_call(monkeypatch):
     # a body with no matchgates makes an empty stacked call and its dense one
     dense = Circuit(n, inp, (random_quadratic_layer(rng, n),), "free")
     ((offset, r),) = compile_circuit(dense).rotations
-    assert calls == [(0, 4, 4), (2 * n, 2 * n)]
-    assert (offset, r.shape) == (0, (2 * n, 2 * n))
+    assert calls == [(0, 4, 4), (2 * n + 2, 2 * n + 2)]
+    assert (offset, r.shape) == (0, (2 * n + 2, 2 * n + 2))
 
 
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("frame", [STANDARD, EXTENDED])
-def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, frame):
+@pytest.mark.parametrize("kind", ["basis", "product"])
+def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, kind):
     """20n matchgates: the compiled 4x4 blocks evolve the covariance as the
     product of dense layer_rotation matrices does.  The gates are drawn from
     a pool of 2n random matchgates, so that the dense reference computes
-    only 2n exponentials of order 2n or 2n + 2."""
+    only 2n exponentials of order 2n + 2."""
     rng = np.random.default_rng([17, n])
-    inp = random_basis_input(rng, n) if frame == STANDARD else random_product_input(rng, n)
+    inp = random_basis_input(rng, n) if kind == "basis" else random_product_input(rng, n)
     pool = random_matchgate_layers(rng, n, 2 * n)
     body = tuple(pool[i] for i in rng.integers(2 * n, size=20 * n))
     cc = compile_circuit(Circuit(n, inp, body, "free"))
-    assert cc.frame == frame
     cov = simulator.body_covariance(cc).gamma
-    dense = {id(lay): layer_rotation(lay, n, frame) for lay in pool}
+    assert cov.shape == (2 * n + 2, 2 * n + 2)
+    dense = {id(lay): layer_rotation(lay, n) for lay in pool}
     s = np.eye(cov.shape[0])
     for lay in body:
         s = dense[id(lay)] @ s
-    start = gaussian.init_covariance(inp).gamma
+    start = gaussian.product_state_covariance(inp).gamma
     assert np.max(np.abs(cov - s @ start @ s.T)) <= 1e-9
     assert np.max(np.abs(cov @ cov.T - np.eye(cov.shape[0]))) <= 1e-9
 
