@@ -465,14 +465,15 @@ def test_compile_exponentiates_a_body_in_one_stacked_call(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("kind", ["basis", "product"])
+@pytest.mark.parametrize("kind", ["standard", "extended"])
 def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, kind):
     """20n matchgates: the compiled 4x4 blocks evolve the covariance as the
     product of dense layer_rotation matrices does.  The gates are drawn from
     a pool of 2n random matchgates, so that the dense reference computes
-    only 2n exponentials of order 2n + 2."""
+    only 2n exponentials of order 2n + 2.  `kind` is the input: standard
+    (a computational-basis state) or extended (a product state)."""
     rng = np.random.default_rng([17, n])
-    inp = random_basis_input(rng, n) if kind == "basis" else random_product_input(rng, n)
+    inp = random_basis_input(rng, n) if kind == "standard" else random_product_input(rng, n)
     pool = random_matchgate_layers(rng, n, 2 * n)
     body = tuple(pool[i] for i in rng.integers(2 * n, size=20 * n))
     cc = compile_circuit(Circuit(n, inp, body, "free"))
