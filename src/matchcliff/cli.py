@@ -4,7 +4,9 @@ Subcommands: expect, marginal, classify, oracle-check.  Output is
 line-oriented key=value (or one JSON object with --json).  Exit codes:
 0 success, 1 input error (including a circuit whose coefficients make
 the evolution non-finite, and an out-of-range --d-max), 2 unsupported
-query.
+query: one that the circuit's grants refuse, such as any expectation
+on a conjugated circuit with a linear layer.  The printed class and
+expect's method= are read from the grants that compile decided.
 """
 from __future__ import annotations
 
@@ -42,8 +44,7 @@ def _load_circuit(path):
 
 
 def _class_string(c) -> str:
-    sc = simulator.classify_circuit(c)
-    return ",".join(sorted(sc.flags))
+    return ",".join(sorted(simulator.classify_circuit(c).flags))
 
 
 def cmd_expect(args) -> int:
@@ -65,7 +66,7 @@ def cmd_expect(args) -> int:
     _emit(
         {
             "value": val,
-            "method": "restricted" if circ.structure == "conjugated" else "covariance",
+            "method": simulator.classify_circuit(circ).expectation_method(circ.input),
             "class": _class_string(circ),
         },
         args.json,

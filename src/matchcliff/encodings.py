@@ -17,14 +17,6 @@ import numpy as np
 from . import f2
 from .pauli import PauliString
 
-STANDARD = "standard"
-EXTENDED = "extended"
-
-
-class UnsupportedEncoding(ValueError):
-    pass
-
-
 class NotCzSwapFamily(ValueError):
     """Some Z_i is not a quadratic product of the encoding's Majoranas."""
 
@@ -36,14 +28,11 @@ class MalformedPairing(ValueError):
 @dataclass(frozen=True)
 class Encoding:
     majoranas: tuple
-    flavor: str = STANDARD
 
     def __post_init__(self):
         object.__setattr__(self, "majoranas", tuple(self.majoranas))
         if not self.majoranas:
             raise ValueError("empty encoding")
-        if self.flavor not in (STANDARD, EXTENDED):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
 
     @property
     def n(self) -> int:
@@ -183,7 +172,7 @@ def validate(e: Encoding) -> list:
 def conjugate_encoding(e: Encoding, t) -> Encoding:
     if t.n != e.n:
         raise ValueError("length mismatch")
-    return Encoding(tuple(t.conjugate_pauli(c) for c in e.majoranas), e.flavor)
+    return Encoding(tuple(t.conjugate_pauli(c) for c in e.majoranas))
 
 
 def decompose_pauli(e: Encoding, p: PauliString) -> tuple:
@@ -431,18 +420,6 @@ def embed_l12(p: PauliString) -> PauliString:
     x = np.concatenate([[lead_x], p.x]).astype(np.uint8)
     z = np.concatenate([[0], p.z]).astype(np.uint8)
     return PauliString(x, z, p.phase_exp)
-
-
-def extend_encoding(e: Encoding) -> Encoding:
-    """The (n+1)-qubit chain encoding hosting embed_l12 images.
-
-    Only defined for the chain-form input; callers rotate other frames
-    to chain form first.
-    """
-    if e.flavor != STANDARD or e != jordan_wigner(e.n):
-        raise UnsupportedEncoding("extension is defined on the chain form")
-    ext = jordan_wigner(e.n + 1)
-    return Encoding(ext.majoranas, EXTENDED)
 
 
 def parity_extended_majoranas(e: Encoding) -> tuple:

@@ -22,7 +22,7 @@ from .encodings import (
     decompose_pauli,  # unused here; bench/tracing.py wraps this binding
     embed_l12,
 )
-from .linalg import TOL, Tolerances
+from .linalg import TOL
 from .pauli import PauliString
 
 
@@ -95,7 +95,7 @@ def pauli_terms_to_h(terms, n: int) -> np.ndarray:
     return h
 
 
-def evolve(c: CovarianceMatrix, rotations, tol: Tolerances = TOL) -> CovarianceMatrix:
+def evolve(c: CovarianceMatrix, rotations) -> CovarianceMatrix:
     """gamma <- S gamma S^T, S = R_L ... R_1 the product of the Majorana
     rotations given as blocks (offset, R_i) in application order; R_i
     rotates Majoranas offset .. offset + len(R_i) - 1.  A block of order
@@ -105,17 +105,17 @@ def evolve(c: CovarianceMatrix, rotations, tol: Tolerances = TOL) -> CovarianceM
     # the 4x4 blocks of matchgates are checked in one stacked call
     local = [r for _, r in blocks if r.shape == (4, 4)]
     if local:
-        linalg.check_rotation(np.stack(local), tol.orthogonality)
+        linalg.check_rotation(np.stack(local))
     for offset, r in blocks:
         k = r.shape[0]
         if r.shape != (4, 4):
-            linalg.check_rotation(r, tol.orthogonality)
+            linalg.check_rotation(r)
         if r.shape != (k, k) or not 0 <= offset <= m - k:
             raise FrameworkError("rotation block does not fit the covariance")
         if offset == 0:
             e0 = np.eye(k)[0]
             dev = max(np.max(np.abs(r[0] - e0)), np.max(np.abs(r[:, 0] - e0)))
-            if not dev <= tol.orthogonality:
+            if not dev <= TOL.orthogonality:
                 raise FrameworkError("rotations must leave the first Majorana fixed")
     g = linalg.rotate_rows(np.array(c.gamma), blocks)  # S gamma
     # gamma S^T = -(S gamma)^T, copied so that its rows are contiguous
@@ -180,9 +180,7 @@ def monomial_expectation(c: CovarianceMatrix, indices) -> float:
     return linalg.pfaffian(c.gamma[idx[:, None], idx])
 
 
-def pauli_expectation(
-    c: CovarianceMatrix, p: PauliString, tol: Tolerances = TOL
-) -> float:
+def pauli_expectation(c: CovarianceMatrix, p: PauliString) -> float:
     """<p> on the Gaussian state, exact via Wick's theorem.  The embedded
     string embed_l12(p) is a product of an even number of Majoranas."""
     if p.n != c.n:
@@ -192,7 +190,7 @@ def pauli_expectation(
     indices, phase = chain_decompose(embed_l12(p))
     k = len(indices) // 2
     val = phase * (1j**k) * monomial_expectation(c, indices)
-    if not abs(val.imag) <= tol.expectation_imag:
+    if not abs(val.imag) <= TOL.expectation_imag:
         raise InternalConsistencyError(
             f"expectation has imaginary residue {val.imag:.3e}"
         )
@@ -213,11 +211,7 @@ def majorana_pairs(n: int) -> np.ndarray:
 
 
 def marginal_probability(
-    c: CovarianceMatrix,
-    q: MarginalQuery,
-    tol: Tolerances = TOL,
-    *,
-    pairs: np.ndarray | None = None,
+    c: CovarianceMatrix, q: MarginalQuery, *, pairs: np.ndarray | None = None
 ) -> float:
     """Probability of reading the given bits on the given logical qubits.
 
@@ -249,6 +243,6 @@ def marginal_probability(
     sub *= 0.5
     _, logabsdet = np.linalg.slogdet(sub)
     prob = math.exp(0.5 * logabsdet)
-    if not -tol.probability <= prob <= 1.0 + tol.probability:
+    if not -TOL.probability <= prob <= 1.0 + TOL.probability:
         raise InternalConsistencyError(f"probability {prob} outside [0, 1]")
     return float(min(max(prob, 0.0), 1.0))

@@ -42,7 +42,7 @@ def check_antisymmetric(a: np.ndarray, tol: float = TOL.antisymmetry) -> np.ndar
     return a
 
 
-def slog_pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> tuple:
+def slog_pfaffian(a: np.ndarray) -> tuple:
     """(sign, log|Pf|) from one Householder tridiagonalization, LAPACK
     dgehrd (Wimmer, arXiv:1102.3440).
 
@@ -54,7 +54,7 @@ def slog_pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> tuple:
     Returns (1.0, 0.0) for the empty 0x0 matrix and (0.0, -inf) for odd
     order or a zero factor T[2i, 2i+1].
     """
-    a = check_antisymmetric(a, tol)
+    a = check_antisymmetric(a)
     if a.ndim != 2:
         raise NotAntisymmetric(f"expected one square matrix, got shape {a.shape}")
     m = a.shape[0]
@@ -73,13 +73,13 @@ def slog_pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> tuple:
     return -1.0 if flips % 2 else 1.0, float(np.log(np.abs(factors)).sum())
 
 
-def pfaffian(a: np.ndarray, tol: float = TOL.antisymmetry) -> float:
+def pfaffian(a: np.ndarray) -> float:
     """Pfaffian as sign * exp(log|Pf|) from slog_pfaffian.
 
     Returns 0.0 for odd dimension; Pf of the empty 0x0 matrix is 1.
     Raises ValueError when the value is not a finite float.
     """
-    sign, log = slog_pfaffian(a, tol)
+    sign, log = slog_pfaffian(a)
     try:
         value = sign * math.exp(log)
     except OverflowError:
@@ -131,11 +131,11 @@ def _expm_so4(a: np.ndarray) -> np.ndarray:
     return (outer.reshape(count, 16) @ _SO4_PRODUCTS).reshape(count, 4, 4)
 
 
-def expm_antisymmetric(
-    h: np.ndarray, scale: float = 4.0, tol: Tolerances = TOL
-) -> np.ndarray:
-    """R = exp(scale * h) for antisymmetric h, one (m, m) matrix or an
-    (L, m, m) stack, in h's shape; each R is polished to orthogonal.
+def expm_antisymmetric(h: np.ndarray) -> np.ndarray:
+    """R = exp(4 h) for antisymmetric h, one (m, m) matrix or an (L, m, m)
+    stack, in h's shape; each R is polished to orthogonal.  The factor 4
+    takes the generator h of exp(-i H), H = i sum_jk h_jk c_j c_k, to its
+    Majorana rotation.
 
     Order 4 takes the closed form of _expm_so4, every other order
     scipy.linalg.expm.  A generator whose size times its order and the
@@ -145,19 +145,19 @@ def expm_antisymmetric(
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite entries in generator")
-    h = check_antisymmetric(h, tol.antisymmetry)
+    h = 4.0 * check_antisymmetric(h)
     m = h.shape[-1]
-    size = float(np.max(np.abs(h), initial=0.0)) * abs(scale)
-    if size * m * np.finfo(float).eps > tol.orthogonality:
+    size = float(np.max(np.abs(h), initial=0.0))
+    if size * m * np.finfo(float).eps > TOL.orthogonality:
         raise ValueError(
-            f"generator too large: max |scale h| = {size:.3e} at order {m}; "
+            f"generator too large: max |4 h| = {size:.3e} at order {m}; "
             "its exponential would be inaccurate or non-finite"
         )
     stack = h if h.ndim == 3 else h[None]
-    r = _expm_so4(scale * stack) if m == 4 else scipy.linalg.expm(scale * stack)
+    r = _expm_so4(stack) if m == 4 else scipy.linalg.expm(stack)
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite entries in the exponential")
-    drifted = _orthogonality_defect(r) > tol.orthogonality_polish
+    drifted = _orthogonality_defect(r) > TOL.orthogonality_polish
     if np.any(drifted):
         # project to the nearest orthogonal matrix
         u, _, vt = np.linalg.svd(r[drifted])

@@ -1,10 +1,13 @@
 """Query dispatch: route (circuit, input, query) triples to the
 polynomial-time algorithm that covers them, or refuse with a reason.
 
-The fast paths are covariance evolution plus Pfaffian readout
-(gaussian module), exact basis-state tracking through basis-permuting
-Cliffords (tableau module), and a restricted-degree Heisenberg sum for
-generally conjugated circuits.
+compile_circuit decides once what a circuit grants, from one table
+(GRANTS) keyed by its structure or its conjugation's class; the
+classifier, the dispatchers and the CLI look that decision up.  The
+routes are covariance evolution plus Pfaffian readout (gaussian module),
+through one readout state per compiled circuit, with basis inputs and
+query bits mapped through basis-permuting Cliffords (tableau module),
+and a restricted-degree Heisenberg sum for conjugated circuits.
 """
 from __future__ import annotations
 
@@ -46,19 +49,79 @@ class DegreeTooLarge(UnsupportedQuery):
     pass
 
 
-class CompileError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SimClass:
-    """Granted simulability flags plus refusal notes."""
+    """The query kinds a circuit grants, and the reason for each kind it
+    refuses."""
 
     flags: frozenset
-    notes: tuple = ()
+    refusals: dict  # flag -> reason
 
-    def has(self, flag: str) -> bool:
-        return flag in self.flags
+    def require(self, flag: str) -> None:
+        """Raise UnsupportedQuery with its reason unless flag is granted."""
+        if flag not in self.flags:
+            raise UnsupportedQuery(self.refusals[flag])
+
+    def expectation_method(self, inp) -> str:
+        """The route of a Pauli expectation on inp: the covariance when
+        every Pauli output is granted, else the restricted sum."""
+        every = PIPO if isinstance(inp, ProductInput) else CIPO
+        return "covariance" if every in self.flags else "restricted"
+
+
+# Query kinds: an input, product (PI) or computational basis (CI), and an
+# output: marginals on any qubits (BO), full-length bitstring
+# probabilities (bO), every Pauli expectation (PO) or those of Majorana
+# degree at most d_max (pO).  A basis input is a product input.
+PIBO, CIBO, CIbO, CIPO, PIPO, PIpO = "PIBO", "CIBO", "CIbO", "CIPO", "PIPO", "PIpO"
+_MARGINALS = (PIBO, CIBO, CIbO)
+_MAGIC = "product inputs under CZ/permutation conjugation would simulate magic-state circuits"
+_NO_LINEAR = "restricted path does not cover linear layers"
+
+# The simulability hierarchy: what each structure, or each class of a
+# conjugation, grants.  A conjugated body with a linear layer also loses
+# PIpO (_grants).
+GRANTS = {
+    "free": SimClass(frozenset({PIBO, CIBO, CIbO, CIPO, PIPO, PIpO}), {}),
+    "post_clifford": SimClass(
+        frozenset({CIPO, PIPO}),
+        {
+            **dict.fromkeys(
+                _MARGINALS,
+                "post-Clifford circuits are granted Pauli-expectation outputs only",
+            ),
+            PIpO: "restricted path needs a conjugated or free circuit",
+        },
+    ),
+    CliffordClass.SWAP_ONLY: SimClass(frozenset({PIBO, CIBO, CIbO, PIpO}), {}),
+    CliffordClass.CZ_SWAP: SimClass(frozenset({CIBO, CIbO, PIpO}), {PIBO: _MAGIC}),
+    CliffordClass.PERMUTATION: SimClass(
+        frozenset({CIbO, PIpO}),
+        {
+            PIBO: _MAGIC,
+            CIBO: "partial marginals under permutation conjugation pull back to "
+            "sums of several projectors; only full-length outputs are granted",
+        },
+    ),
+    CliffordClass.GENERAL: SimClass(
+        frozenset({PIpO}),
+        dict.fromkeys(
+            _MARGINALS,
+            "general conjugation admits no known reduction to a free-fermion marginal",
+        ),
+    ),
+}
+
+
+def _grants(c: Circuit, cls: CliffordClass | None) -> SimClass:
+    """The row of GRANTS for c; cls, the class of its conjugation, is read
+    only for a conjugated circuit."""
+    if c.structure != "conjugated":
+        return GRANTS[c.structure]
+    row = GRANTS[cls]
+    if not c.has_linear():
+        return row
+    return SimClass(row.flags - {PIpO}, {**row.refusals, PIpO: _NO_LINEAR})
 
 
 def matchgate_terms(n: int, k: int, coeffs) -> list:
@@ -132,8 +195,8 @@ def layer_rotation(lay, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Readout:
-    """What the marginals of a compiled circuit read: logical output qubit
-    q is the Majorana pair pairs[q] of the covariance."""
+    """What the covariance route of a compiled circuit reads: logical
+    output qubit q is the Majorana pair pairs[q] of the covariance."""
 
     cov: CovarianceMatrix
     pairs: np.ndarray  # (n, 2)
@@ -144,8 +207,7 @@ class CompiledCircuit:
     """A circuit with everything its queries share, computed once."""
 
     circuit: Circuit
-    conj: CliffordTableau | None
-    post: CliffordTableau | None
+    grants: SimClass
     # per body layer, in application order: (offset, R) with R rotating
     # Majoranas offset .. offset + len(R) - 1; 4x4 for a matchgate, dense
     # at offset 0 for a linear or quadratic layer
@@ -154,15 +216,14 @@ class CompiledCircuit:
     conj_class: CliffordClass | None = None
     # pi with C Z_q C^dag = Z_pi(q), for the swap and CZ+swap classes
     qubit_perm: tuple | None = None
-    # C|input> = phase |bits>, for basis inputs under a basis-permuting C
-    input_action: tuple | None = None
     # (A, b) with C|x> = phase |A x + b mod 2>, for a basis-permuting C
     basis_map: tuple | None = None
 
-    # The restricted route's body product and the marginals' readout are
-    # built on their first query, not while compiling, so a circuit holds
-    # only what its queries read: free circuits, whose dispatcher route is
-    # the covariance, would otherwise hold a 2n x 2n product they never read.
+    # The restricted route's body product and the covariance route's
+    # readout are built on their first query, not while compiling, so a
+    # circuit holds only what its queries read: free circuits, whose
+    # dispatcher route is the covariance, would otherwise hold a 2n x 2n
+    # product they never read.
 
     @functools.cached_property
     def body_product(self) -> np.ndarray:
@@ -174,23 +235,24 @@ class CompiledCircuit:
 
     @functools.cached_property
     def readout(self) -> Readout:
-        """The covariance and pair table that the granted marginals read,
-        built on the first marginal.  Output qubit q reads the pair of
-        pi(q), or of q without a qubit permutation, in the body covariance
-        of the input: permuted by pi for a product input under SWAPs, and
-        C|input> for a basis input under a basis-permuting C.  The
-        permutation class maps each query's bits through basis_map."""
+        """The covariance and pair table that the covariance route reads,
+        built on its first query.  Output qubit q reads the pair of pi(q),
+        or of q without a qubit permutation, in the body covariance of the
+        input: permuted by pi for a product input under SWAPs, and
+        C|x> = |A x + b> for a basis input x under a basis-permuting C.
+        The permutation class maps each query's bits through basis_map."""
         c = self.circuit
         perm = self.qubit_perm
         inp = c.input
-        if isinstance(inp, ProductInput) and perm is not None:
+        if isinstance(inp, BasisInput) and self.basis_map is not None:
+            a, b = self.basis_map
+            inp = BasisInput(tuple((a @ np.array(inp.bits) + b) & 1))
+        elif perm is not None:
             angles = [None] * c.n
             for target, angle in zip(perm, inp.angles):
                 angles[target] = angle
             inp = ProductInput(tuple(angles))
-        elif self.input_action is not None:
-            inp = BasisInput(self.input_action[0])
-        cov = body_covariance(self, inp)
+        cov = gaussian.evolve(gaussian.product_state_covariance(inp), self.rotations)
         pairs = gaussian.majorana_pairs(c.n)
         if perm is not None:
             pairs = pairs[list(perm)]
@@ -200,26 +262,16 @@ class CompiledCircuit:
 @functools.lru_cache(maxsize=256)
 def compile_circuit(c: Circuit) -> CompiledCircuit:
     extra = {}
-    conj = post = None
+    cls = None
     if c.structure == "conjugated":
         conj = c.conjugation_tableau()
-        cls = tableau.classify(conj)
-        if c.has_linear() and cls == CliffordClass.GENERAL:
-            raise CompileError(
-                "linear layers inside a generally conjugated circuit have no "
-                "supported algorithm"
-            )
-        extra["conj_class"] = cls
+        cls = extra["conj_class"] = tableau.classify(conj)
         if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
             extra["qubit_perm"] = tableau.qubit_permutation(conj)
         if cls != CliffordClass.GENERAL:
             extra["basis_map"] = tableau.basis_map(conj)
-            if isinstance(c.input, BasisInput):
-                bits, phase = tableau.basis_action(conj, c.input.bits)
-                extra["input_action"] = (tuple(int(b) for b in bits), phase)
     elif c.structure == "post_clifford":
-        post = c.post_tableau()
-        extra["post_inverse"] = tableau.invert(post)
+        extra["post_inverse"] = tableau.invert(c.post_tableau())
     # a matchgate rotates only its four Majoranas, and the body's matchgates
     # are exponentiated in one stacked call; other layers keep the dense
     # rotation
@@ -236,75 +288,29 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
         else (0, layer_rotation(lay, c.n))
         for lay in layers
     )
-    return CompiledCircuit(c, conj, post, rotations, **extra)
-
-
-def body_covariance(cc: CompiledCircuit, inp=None) -> CovarianceMatrix:
-    """Input covariance evolved through the body rotations (Clifford
-    blocks excluded)."""
-    c = cc.circuit
-    inp = c.input if inp is None else inp
-    return _body_covariance_cached(c, inp)
-
-
-@functools.lru_cache(maxsize=1024)
-def _body_covariance_cached(c: Circuit, inp) -> CovarianceMatrix:
-    return gaussian.evolve(
-        gaussian.product_state_covariance(inp), compile_circuit(c).rotations
-    )
-
-
-def _conjugation_class(c: Circuit) -> CliffordClass:
-    """The class compile_circuit found, so a circuit is classified once
-    however often it is queried; a circuit that compile refuses (a linear
-    layer under a general conjugation, a non-finite body) is classified
-    directly."""
-    try:
-        return compile_circuit(c).conj_class
-    except ValueError:
-        return tableau.classify(c.conjugation_tableau())
+    return CompiledCircuit(c, _grants(c, cls), rotations, **extra)
 
 
 def classify_circuit(c: Circuit) -> SimClass:
-    if c.structure == "conjugated":
-        cls = _conjugation_class(c)
-        if cls == CliffordClass.SWAP_ONLY:
-            return SimClass(frozenset({"PIBO", "CIBO", "CIbO", "PIpO"}))
-        if cls == CliffordClass.CZ_SWAP:
-            return SimClass(
-                frozenset({"CIBO", "CIbO", "PIpO"}),
-                ("product-input marginals would simulate magic-state circuits",),
-            )
-        if cls == CliffordClass.PERMUTATION:
-            return SimClass(
-                frozenset({"CIbO", "PIpO"}),
-                ("short marginals pull back to sums of several projectors",),
-            )
-        return SimClass(
-            frozenset({"PIpO"}),
-            (
-                "general conjugation admits no known reduction to a "
-                "free-fermion marginal",
-            ),
-        )
-    if c.structure == "post_clifford":
-        return SimClass(frozenset({"CIPO", "PIPO"}))
-    return SimClass(frozenset({"PIBO", "CIBO", "CIbO", "CIPO", "PIPO", "PIpO"}))
+    """The grants compile_circuit decided, so a circuit is classified once
+    however often it is queried.  A body too large or not finite to
+    exponentiate, which compile refuses, still has its row of GRANTS."""
+    try:
+        return compile_circuit(c).grants
+    except ValueError:
+        return _grants(c, tableau.classify(c.conjugation_tableau()))
 
 
 def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> float:
-    """<p> after the full circuit, via the fastest granted algorithm.
-    d_max, the restricted route's degree limit, must lie in 0..D_MAX_CAP
-    whichever route answers."""
+    """<p> after the full circuit, by the route the grants choose.  d_max,
+    the restricted route's degree limit, must lie in 0..D_MAX_CAP whichever
+    route answers."""
     _check_d_max(d_max)
     cc = compile_circuit(c)
-    if c.structure == "free":
-        return gaussian.pauli_expectation(body_covariance(cc), p)
-    if c.structure == "post_clifford":
-        q = cc.post_inverse.conjugate_pauli(p)
-        return gaussian.pauli_expectation(body_covariance(cc), q)
-    # conjugated: restricted-degree Heisenberg sum
-    return restricted_pauli_expectation(c, p, d_max=d_max, _compiled=cc)
+    if cc.grants.expectation_method(c.input) == "restricted":
+        return restricted_pauli_expectation(c, p, d_max=d_max)
+    q = p if cc.post_inverse is None else cc.post_inverse.conjugate_pauli(p)
+    return gaussian.pauli_expectation(cc.readout.cov, q)
 
 
 def run_marginal(c: Circuit, q: MarginalQuery) -> float:
@@ -315,31 +321,14 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
     n = c.n
     if any(not 0 <= qu < n for qu in q.qubits):
         raise IndexError("query qubit out of range")
-    if c.structure == "post_clifford":
-        raise UnsupportedQuery(
-            "post-Clifford circuits are granted Pauli-expectation outputs only"
-        )
-    cls = cc.conj_class
-    if cls == CliffordClass.GENERAL:
-        raise UnsupportedQuery(
-            "general conjugation admits no known reduction to a free-fermion "
-            "marginal"
-        )
-    product = isinstance(c.input, ProductInput)
-    if product and cls not in (None, CliffordClass.SWAP_ONLY):
-        raise UnsupportedQuery(
-            "product inputs under CZ/permutation conjugation would "
-            "simulate magic-state circuits"
-        )
-    # under the permutation class only full-length queries survive the
-    # pullback
-    if cls == CliffordClass.PERMUTATION and len(q.qubits) != n:
-        raise UnsupportedQuery(
-            "partial marginals under permutation conjugation pull back to "
-            "sums of several projectors; only full-length outputs are granted"
-        )
+    if isinstance(c.input, ProductInput):
+        cc.grants.require(PIBO)
+    else:
+        cc.grants.require(CIbO if len(q.qubits) == n else CIBO)
     readout = cc.readout
-    if cls == CliffordClass.PERMUTATION:
+    # under the permutation class only full-length queries are granted,
+    # and their bits pull back through the affine basis map
+    if cc.conj_class == CliffordClass.PERMUTATION:
         full = np.zeros(n, dtype=np.int64)
         full[list(q.qubits)] = q.bits
         a, b = cc.basis_map
@@ -361,10 +350,7 @@ def _check_d_max(d_max: int) -> None:
 
 
 def restricted_pauli_expectation(
-    c: Circuit,
-    p: PauliString,
-    d_max: int = D_MAX_DEFAULT,
-    _compiled: CompiledCircuit | None = None,
+    c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT
 ) -> float:
     """Heisenberg-sum expectation for conjugated circuits.  The query is
     conjugated into the chain frame, C p C^dag = mu c_I with C the leading
@@ -379,13 +365,12 @@ def restricted_pauli_expectation(
     _check_d_max(d_max)
     if not p.is_hermitian():
         raise ValueError("expectation of a non-Hermitian string")
-    cc = _compiled if _compiled is not None else compile_circuit(c)
-    if c.structure not in ("conjugated", "free"):
-        raise UnsupportedQuery("restricted path needs a conjugated or free circuit")
-    if c.has_linear():
-        raise UnsupportedQuery("restricted path does not cover linear layers")
+    cc = compile_circuit(c)
+    cc.grants.require(PIpO)
+    if c.has_linear():  # a free body, whose linear layers the covariance route reads
+        raise UnsupportedQuery(_NO_LINEAR)
     n = c.n
-    indices, mu = chain_decompose(p if cc.conj is None else cc.conj.conjugate_pauli(p))
+    indices, mu = chain_decompose(c.conjugation_tableau().conjugate_pauli(p))
     d = len(indices)
     if d > d_max:
         raise DegreeTooLarge(
@@ -393,7 +378,7 @@ def restricted_pauli_expectation(
         )
     s_rows = cc.body_product[list(indices)]
     table = _input_table(c.input)
-    post = None if cc.conj is None else c.post_tableau()
+    post = c.post_tableau()
     sites = np.arange(n)
     sets = itertools.combinations(range(2 * n), d)
     total = 0.0 + 0.0j
@@ -403,8 +388,7 @@ def restricted_pauli_expectation(
         members = np.zeros((len(chunk), 2 * n), dtype=np.uint8)
         members[np.arange(len(chunk))[:, None], js] = 1
         rows, phases = chain_monomials(members)
-        if post is not None:
-            rows, phases = post.conjugate_rows(rows, phases)
+        rows, phases = post.conjugate_rows(rows, phases)
         values = np.prod(table[sites, 2 * rows[:, :n] + rows[:, n:]], axis=1)
         total += weights @ (_I_POWERS[phases] * values)
     val = mu * total

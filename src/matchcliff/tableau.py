@@ -267,14 +267,3 @@ def random_tableau(n: int, seed: int, num_gates: int | None = None) -> CliffordT
             a, b = rng.choice(n, size=2, replace=False)
             gates.append((name, int(a), int(b)))
     return from_gates(n, gates)
-
-
-def stabilizer_state_to_encoding(t: CliffordTableau):
-    """Majorana set making the stabilizer state t|0...0> Gaussian.
-
-    Elementwise conjugation of the standard chain-form Majoranas.
-    """
-    from .encodings import Encoding, jordan_wigner
-
-    jw = jordan_wigner(t.n)
-    return Encoding(tuple(t.conjugate_pauli(c) for c in jw.majoranas))

@@ -277,3 +277,28 @@ def test_non_finite_product_angles_are_input_errors(capsys, tmp_path, key, value
         assert code == 1
         assert out == ""
         assert "error=product input angles must be finite" in err
+
+
+def test_linear_layer_under_a_general_conjugation_is_refused(capsys, tmp_path):
+    """A linear layer inside a general conjugation made expect and marginal
+    exit 1 and oracle-check end in a traceback; every query is refused."""
+    doc = {
+        "n": 3,
+        "input": {"kind": "basis", "bits": "010"},
+        "structure": "conjugated",
+        "layers": [
+            {"kind": "clifford", "gate": "H", "qubits": [0]},
+            {"kind": "linear", "b": [0.3, -0.2, 0.1, 0.0, 0.4, 0.2]},
+            {"kind": "clifford", "gate": "H", "qubits": [0]},
+        ],
+    }
+    path = tmp_path / "general_linear.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("expect", "--pauli", "ZII"), ("marginal", "--qubits", "0", "--bits", "1")):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == "" and err.startswith("error=")
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0 and parse_kv(out)["class"] == ""
+    code, out, _ = run_cli(capsys, "oracle-check", str(path), "--queries", "10")
+    assert parse_kv(out)["queries_checked"] == "0" and code == 1

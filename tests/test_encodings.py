@@ -16,7 +16,6 @@ from matchcliff.encodings import (
     decompose_pauli,
     embed_l12,
     encoding_matrix,
-    extend_encoding,
     jordan_wigner,
     parity_extended_h,
     parity_extended_majoranas,
@@ -132,7 +131,7 @@ def test_chain_decompose_matches_f2_route(p):
     assert chain_decompose(p) == decompose_pauli(jordan_wigner(p.n), p)
     # the extended frame's strings, n + 1 qubits long
     q = embed_l12(p)
-    assert chain_decompose(q) == decompose_pauli(extend_encoding(jordan_wigner(p.n)), q)
+    assert chain_decompose(q) == decompose_pauli(jordan_wigner(p.n + 1), q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,7 +258,7 @@ def test_embed_is_multiplicative():
 
 
 def test_extended_encoding_satisfies_car():
-    ext = extend_encoding(jordan_wigner(3))
+    ext = jordan_wigner(4)
     assert ext.n == 4 and len(ext.majoranas) == 8
     assert validate(ext) == []
 

@@ -145,16 +145,16 @@ def test_expm_polishes_only_the_drifted_matrices(monkeypatch):
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_expm_refuses_a_generator_whose_rounding_exceeds_the_tolerance(m):
-    # refused when max |scale h| * m * eps > tol.orthogonality
+    # refused when max |4 h| * m * eps > tol.orthogonality; h / 4 is exact
     edge = linalg.TOL.orthogonality / (m * EPS)
     h = np.zeros((m, m))
     for size, refused in ((edge * (1 + 1e-9), True), (edge * (1 - 1e-9), False)):
         h[0, 1], h[1, 0] = size, -size
         if refused:
             with pytest.raises(ValueError, match="too large"):
-                linalg.expm_antisymmetric(h, scale=1.0)
+                linalg.expm_antisymmetric(h / 4)
         else:
-            r = linalg.expm_antisymmetric(h, scale=1.0)
+            r = linalg.expm_antisymmetric(h / 4)
             assert np.max(np.abs(r @ r.T - np.eye(m))) <= 1e-12
     stack = np.zeros((3, 4, 4))
     stack[2, 2, 3], stack[2, 3, 2] = 1e6, -1e6

@@ -348,7 +348,7 @@ def test_marginal_chain_rule_at_n256():
     c = Circuit(
         n, random_basis_input(rng, n), (QuadraticLayer(tuple(map(tuple, h - h.T))),), "free"
     )
-    gamma = simulator.body_covariance(compile_circuit(c)).gamma
+    gamma = compile_circuit(c).readout.cov.gamma
     qubits = tuple(int(q) for q in rng.choice(n, size=n // 2, replace=False))
     bits = tuple(int(gamma[2 * q + 2, 2 * q + 3] < 0) for q in qubits)
     extra = next(q for q in range(n) if q not in qubits)
@@ -385,8 +385,9 @@ def test_compiled_clifford_data_matches_a_rebuild():
         for q in range(n):
             assert t.image_of_z(q) == PauliString.single(n, pi[q], "Z")
         if isinstance(inp, BasisInput):
-            bits, phase = tableau.basis_action(t, inp.bits)
-            assert compile_circuit(swaps).input_action == (tuple(bits), phase)
+            bits, _ = tableau.basis_action(t, inp.bits)
+            a, b = compile_circuit(swaps).basis_map
+            assert np.array_equal((a @ np.array(inp.bits) + b) & 1, bits)
 
 
 @given(
@@ -406,7 +407,7 @@ def test_matchgate_block_equals_dense_layer_rotation(n, data, coeffs, kind):
     full = np.eye(2 * n + 2)
     full[offset : offset + 4, offset : offset + 4] = r
     assert np.max(np.abs(full - layer_rotation(lay, n))) <= 1e-12
-    assert simulator.body_covariance(cc).gamma.shape == (2 * n + 2, 2 * n + 2)
+    assert cc.readout.cov.gamma.shape == (2 * n + 2, 2 * n + 2)
 
 
 def test_compiled_rotations_are_local_for_matchgates_only():
@@ -477,7 +478,7 @@ def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, kin
     pool = random_matchgate_layers(rng, n, 2 * n)
     body = tuple(pool[i] for i in rng.integers(2 * n, size=20 * n))
     cc = compile_circuit(Circuit(n, inp, body, "free"))
-    cov = simulator.body_covariance(cc).gamma
+    cov = cc.readout.cov.gamma
     assert cov.shape == (2 * n + 2, 2 * n + 2)
     dense = {id(lay): layer_rotation(lay, n) for lay in pool}
     s = np.eye(cov.shape[0])
@@ -521,7 +522,7 @@ def test_compiled_basis_map_equals_basis_action(n, seed):
     a, b = cc.basis_map
     for _ in range(4):
         x = rng.integers(0, 2, size=n)
-        want, _ = tableau.basis_action(cc.conj, x)
+        want, _ = tableau.basis_action(c.conjugation_tableau(), x)
         assert np.array_equal((a @ x + b) & 1, want)
 
 
@@ -572,18 +573,71 @@ def test_clifford_data_builds_without_pauli_products(monkeypatch):
 
 
 def test_classify_circuit_answers_when_compile_refuses():
-    rng = np.random.default_rng(18)
     n = 3
     lead = [CliffordLayer("H", (0,))]
-    c = Circuit(
-        n,
-        BasisInput((0,) * n),
-        tuple(lead + [random_linear_layer(rng, n)] + lead),
-        "conjugated",
-    )
-    with pytest.raises(simulator.CompileError):
+    huge = MatchgateLayer(0, (0.0, 1e5, 0.0, 0.0, 0.0, 0.0))
+    c = Circuit(n, BasisInput((0,) * n), tuple(lead + [huge] + lead), "conjugated")
+    with pytest.raises(ValueError, match="generator too large"):
         compile_circuit(c)
     assert classify_circuit(c).flags == {"PIpO"}
+
+
+_CONJUGATIONS = {
+    "swap": (tableau.CliffordClass.SWAP_ONLY, [("SWAP", (0, 2)), ("SWAP", (1, 2))]),
+    "cz_swap": (tableau.CliffordClass.CZ_SWAP, [("CZ", (0, 1)), ("SWAP", (1, 2))]),
+    "permutation": (tableau.CliffordClass.PERMUTATION, [("CNOT", (0, 1)), ("CNOT", (2, 1))]),
+    "general": (tableau.CliffordClass.GENERAL, [("H", (0,)), ("CNOT", (0, 1))]),
+}
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["quadratic", "linear"])
+@pytest.mark.parametrize("kind", ["basis", "product"])
+@pytest.mark.parametrize("shape", ["free", "post_clifford", *_CONJUGATIONS])
+def test_every_granted_kind_is_answered_and_every_other_refused(shape, kind, linear):
+    """Each query kind is answered, within 1e-9 of the oracle, exactly when
+    classify_circuit grants it, and refused with UnsupportedQuery
+    otherwise.  A low-degree expectation is also answered where every
+    Pauli output is granted."""
+    rng = np.random.default_rng(19)
+    n = 4
+    inp = random_basis_input(rng, n) if kind == "basis" else random_product_input(rng, n)
+    body = random_matchgate_layers(rng, n, 4)
+    if linear:
+        body.append(random_linear_layer(rng, n))
+    if shape == "free":
+        c = Circuit(n, inp, tuple(body), "free")
+    elif shape == "post_clifford":
+        c = Circuit(n, inp, tuple(body + random_clifford_gates(rng, n, 4)), "post_clifford")
+    else:
+        cls, gates = _CONJUGATIONS[shape]
+        gates = [CliffordLayer(*g) for g in gates]
+        c = Circuit(n, inp, tuple(gates + body + invert_clifford_gates(gates)), "conjugated")
+        assert compile_circuit(c).conj_class == cls
+    flags = classify_circuit(c).flags
+    ref = oracle.apply_circuit(c)
+    i = "P" if kind == "product" else "C"
+    partial = MarginalQuery((0, 2), tuple(int(b) for b in rng.integers(0, 2, size=2)))
+    full = MarginalQuery(range(n), tuple(int(b) for b in rng.integers(0, 2, size=n)))
+    # C low C^dag = Z_0 has degree 2 under every conjugation; d_max = 0
+    # leaves a non-identity query no restricted answer
+    low = c.post_tableau().conjugate_pauli(PauliString.single(n, 0, "Z"))
+    high = PauliString.from_string("XYZX")
+    cases = (
+        (f"{i}IBO" in flags, lambda: run_marginal(c, partial), partial),
+        ({"PIBO" if i == "P" else "CIbO"} & flags, lambda: run_marginal(c, full), full),
+        (f"{i}IPO" in flags, lambda: run_expectation(c, high, d_max=0), high),
+        ({"PIpO", f"{i}IPO"} & flags, lambda: run_expectation(c, low, d_max=4), low),
+    )
+    for granted, answer, query in cases:
+        if not granted:
+            with pytest.raises(UnsupportedQuery):
+                answer()
+            continue
+        if isinstance(query, MarginalQuery):
+            want = oracle.marginal(ref, query.qubits, query.bits)
+        else:
+            want = oracle.expectation(ref, query).real
+        assert abs(answer() - want) <= 1e-9
 
 
 def _swap_destinations(n, gates):
@@ -653,7 +707,7 @@ def _granted_marginal_circuits(rng, n):
 )
 def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
     """A circuit's first marginal builds its readout; later marginals
-    neither evolve nor build nor look up a covariance."""
+    neither evolve nor build a covariance."""
     rng = np.random.default_rng(17)
     n = 4
     c = _granted_marginal_circuits(rng, n)[kind]
@@ -667,23 +721,20 @@ def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
         return MarginalQuery(qubits, tuple(int(b) for b in rng.integers(0, 2, size=k)))
 
     run_marginal(c, query())
-    calls = dict.fromkeys(("evolve", "product_state_covariance", "_body_covariance_cached"), 0)
-    for owner, name in (
-        (gaussian, "evolve"),
-        (gaussian, "product_state_covariance"),
-        (simulator, "_body_covariance_cached"),
-    ):
-        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+    calls = dict.fromkeys(("evolve", "product_state_covariance"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(gaussian, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(gaussian, name, counted)
     ref = oracle.apply_circuit(c)
     for _ in range(8):
         q = query()
         got = run_marginal(c, q)
         assert abs(got - oracle.marginal(ref, q.qubits, q.bits)) <= 1e-9
     assert calls == dict.fromkeys(calls, 0)
-    # the counters are live: a covariance lookup is counted
-    simulator.body_covariance(compile_circuit(c))
-    assert calls["_body_covariance_cached"] == 1
+    # the counters are live: a recompiled circuit builds its readout again
+    compile_circuit.cache_clear()
+    run_marginal(c, query())
+    assert calls == dict.fromkeys(calls, 1)

@@ -15,7 +15,6 @@ from matchcliff.tableau import (
     from_gates,
     invert,
     random_tableau,
-    stabilizer_state_to_encoding,
 )
 
 from conftest import random_clifford_gates, random_pauli_string
@@ -149,10 +148,10 @@ def test_basis_action_rejects_general_cliffords():
 
 
 def test_stabilizer_state_encoding_is_valid():
-    from matchcliff.encodings import validate
+    from matchcliff.encodings import conjugate_encoding, jordan_wigner, validate
 
     t = random_tableau(4, seed=11)
-    enc = stabilizer_state_to_encoding(t)
+    enc = conjugate_encoding(jordan_wigner(4), t)
     assert validate(enc) == []
 
 
