@@ -143,10 +143,13 @@ def cmd_oracle_check(args) -> int:
             raise circuits.CircuitParseError(
                 f"n = {circ.n} exceeds the dense-oracle cap {oracle.SIZE_CAP}"
             )
+        # compile first, so that the simulator's own refusal of the circuit
+        # is reported rather than the dense state's
+        simulator.compile_circuit(circ)
+        ref = oracle.apply_circuit(circ)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     rng = np.random.default_rng(args.seed)
-    ref = oracle.apply_circuit(circ)
     max_dev = 0.0
     checked = 0
     letters = "IXYZ"

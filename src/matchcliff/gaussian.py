@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +54,17 @@ class MarginalQuery:
 class CovarianceMatrix:
     gamma: np.ndarray  # (2n+2, 2n+2), the ancilla pair first
     n: int  # logical qubit count
+    # max |gamma_jk + gamma_kj|, kept so that readout rescans only a
+    # covariance that is not antisymmetric to well within TOL.antisymmetry
+    antisymmetry_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
-        linalg.check_antisymmetric(g, TOL.antisymmetry * 10)
+        defect = linalg.antisymmetry_defect(g)
+        if not defect <= TOL.antisymmetry * 10:
+            raise linalg.NotAntisymmetric(
+                f"covariance max |gamma_jk + gamma_kj| = {defect:.3e}"
+            )
         m = 2 * self.n + 2
         if g.shape != (m, m):
             raise FrameworkError(f"gamma shape {g.shape} does not fit {self.n} qubits")
@@ -65,6 +72,7 @@ class CovarianceMatrix:
             raise InternalConsistencyError("covariance entries outside [-1, 1]")
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "antisymmetry_defect", defect)
 
     def purity_defect(self) -> float:
         m = self.gamma.shape[0]
@@ -219,8 +227,15 @@ def marginal_probability(
     theorem resums into 2^{-k} (prod s_i) Pf(Gamma_S + D), with D the
     block-diagonal antisymmetric matrix of the outcome signs
     s_i = (-1)^{bit}.  A probability is non-negative and Pf^2 = det, so
-    it equals sqrt|det((Gamma_S + D) / 2)|: one LAPACK determinant in
-    the log domain, which neither overflows nor cancels a k ln 2 term.
+    it equals sqrt|det((Gamma_S + D) / 2)|, computed in the log domain,
+    which neither overflows nor cancels a k ln 2 term.
+
+    One query costs one gather of Gamma_S, by two takes, and one in-place
+    LAPACK LU (linalg.log_abs_det_half) of its transpose with the signs added;
+    the halving is folded into the LU's diagonal.  Gamma_S + D is
+    rescanned for antisymmetry only when the covariance's own defect
+    exceeds half of TOL.antisymmetry: below that, rounding the sign adds
+    cannot take the submatrix's defect past the tolerance.
 
     Qubit q reads the Majorana pair pairs[q], its own pair by default;
     a compiled circuit's readout table folds its qubit permutation in.
@@ -231,7 +246,7 @@ def marginal_probability(
     if qubits and not (min(qubits) >= 0 and max(qubits) < len(pairs)):
         raise IndexError(f"query qubits {qubits} out of range")
     idx = pairs.take(qubits, axis=0).ravel()
-    sub = c.gamma[idx[:, None], idx]
+    sub = c.gamma.take(idx, axis=0).take(idx, axis=1)
     signs = _OUTCOME_SIGNS.take(q.bits)
     # D on the flat view: (2i, 2i+1) sits at i (4k+2) + 1, (2i+1, 2i) at
     # i (4k+2) + 2k
@@ -239,10 +254,9 @@ def marginal_probability(
     flat = sub.reshape(-1)
     flat[1 :: 4 * k + 2] += signs
     flat[2 * k :: 4 * k + 2] -= signs
-    linalg.check_antisymmetric(sub)
-    sub *= 0.5
-    _, logabsdet = np.linalg.slogdet(sub)
-    prob = math.exp(0.5 * logabsdet)
+    if c.antisymmetry_defect > TOL.antisymmetry / 2:
+        linalg.check_antisymmetric(sub)
+    prob = math.exp(0.5 * linalg.log_abs_det_half(sub.T))
     if not -TOL.probability <= prob <= 1.0 + TOL.probability:
         raise InternalConsistencyError(f"probability {prob} outside [0, 1]")
     return float(min(max(prob, 0.0), 1.0))

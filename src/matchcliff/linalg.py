@@ -1,5 +1,5 @@
-"""Dense real kernels: Pfaffians, orthogonal exponentials of
-antisymmetric matrices and block rotations."""
+"""Dense real kernels: Pfaffians, determinants, orthogonal exponentials
+of antisymmetric matrices and block rotations."""
 from __future__ import annotations
 
 import math
@@ -29,14 +29,20 @@ class NotAntisymmetric(ValueError):
     pass
 
 
+def antisymmetry_defect(a: np.ndarray) -> float:
+    """max |a_ij + a_ji| over one (m, m) float matrix or an (L, m, m)
+    stack; NaN if an entry is NaN."""
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise NotAntisymmetric(f"expected square matrices, got shape {a.shape}")
+    transpose = a.T if a.ndim == 2 else a.swapaxes(-1, -2)
+    return float(np.abs(a + transpose).max(initial=0.0))
+
+
 def check_antisymmetric(a: np.ndarray, tol: float = TOL.antisymmetry) -> np.ndarray:
     """a as a float array, one (m, m) matrix or an (L, m, m) stack, if
     every matrix is antisymmetric to within tol."""
     a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise NotAntisymmetric(f"expected square matrices, got shape {a.shape}")
-    transpose = a.T if a.ndim == 2 else a.swapaxes(-1, -2)
-    dev = np.abs(a + transpose).max(initial=0.0)
+    dev = antisymmetry_defect(a)
     if not dev <= tol:
         raise NotAntisymmetric(f"max |a_ij + a_ji| = {dev:.3e} > {tol:.1e}")
     return a
@@ -71,6 +77,29 @@ def slog_pfaffian(a: np.ndarray) -> tuple:
         return 0.0, -math.inf
     flips = np.count_nonzero(tau) + np.count_nonzero(factors < 0.0)
     return -1.0 if flips % 2 else 1.0, float(np.log(np.abs(factors)).sum())
+
+
+def log_abs_det_half(a: np.ndarray) -> float:
+    """log|det(a / 2)| from one LAPACK LU, dgetrf, of the square float
+    matrix a.  An F-contiguous a, such as the transpose of a C-contiguous
+    matrix (det a^T = det a), is factored in place and overwritten.
+
+    The sum runs over log|u_ii / 2| on the diagonal of U.  Halving is
+    exact, so this is the LU of a / 2 with the same pivots, and the log
+    neither overflows nor cancels an m ln 2 term.  Returns 0.0 for the
+    empty 0x0 matrix without a LAPACK call (dgetrf refuses order 0), and
+    -inf for an exactly zero pivot (info > 0).
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected one square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        return 0.0
+    lu, _, info = scipy.linalg.lapack.dgetrf(a, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dgetrf refused argument {-info}")
+    if info > 0:
+        return -math.inf
+    return float(np.log(np.abs(0.5 * lu.diagonal())).sum())
 
 
 def pfaffian(a: np.ndarray) -> float:

@@ -319,7 +319,7 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
     state, so its phases never weigh on a probability."""
     cc = compile_circuit(c)
     n = c.n
-    if any(not 0 <= qu < n for qu in q.qubits):
+    if q.qubits and not (min(q.qubits) >= 0 and max(q.qubits) < n):
         raise IndexError("query qubit out of range")
     if isinstance(c.input, ProductInput):
         cc.grants.require(PIBO)

@@ -302,3 +302,20 @@ def test_linear_layer_under_a_general_conjugation_is_refused(capsys, tmp_path):
     assert code == 0 and parse_kv(out)["class"] == ""
     code, out, _ = run_cli(capsys, "oracle-check", str(path), "--queries", "10")
     assert parse_kv(out)["queries_checked"] == "0" and code == 1
+
+
+def test_oracle_check_reports_a_body_that_compile_refuses(capsys, tmp_path):
+    """A matchgate coefficient of 1e5 made oracle-check end in a
+    'state not normalized' traceback from the dense state; compile's own
+    refusal now comes first, as for expect."""
+    with open(f"{FIXTURES}/free_n3.json") as fh:
+        doc = json.load(fh)
+    doc["layers"][0]["coeffs"]["a1"] = 1e5
+    path = tmp_path / "large_coefficient.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("oracle-check",), ("expect", "--pauli", "ZII")):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error=generator too large")

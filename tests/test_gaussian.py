@@ -183,11 +183,14 @@ def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
     assert abs(got - signed) <= 1e-10
 
 
-def test_empty_marginal_is_one():
+def test_empty_marginal_is_one(capfd):
+    """k = 0 never reaches dgetrf, which refuses order 0 with a message
+    on stdout."""
     rng = np.random.default_rng(5)
     h = rng.normal(size=(6, 6))
     cov = evolve(product_state_covariance(BasisInput((1, 0, 1))), [(2, expm_antisymmetric(h - h.T))])
     assert marginal_probability(cov, MarginalQuery((), ())) == 1.0
+    assert capfd.readouterr() == ("", "")
 
 
 def _random_rotation(rng, m):
@@ -350,3 +353,63 @@ def test_marginal_checks_the_antisymmetry_of_each_submatrix():
     assert marginal_probability(cov, MarginalQuery((0, 1), (0, 1))) == pytest.approx(1.0)
     with pytest.raises(linalg.NotAntisymmetric):
         marginal_probability(cov, MarginalQuery((1, 2), (1, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_impossible_outcome_on_a_basis_input_is_exactly_zero(n):
+    """A flipped bit makes its 2x2 block of Gamma_S + D exactly zero, so
+    the LU meets an exactly zero pivot, at k = 1 and at k = n."""
+    rng = np.random.default_rng(n)
+    bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    cov = product_state_covariance(BasisInput(bits))
+    j = int(rng.integers(n))
+    assert marginal_probability(cov, MarginalQuery((j,), (1 - bits[j],))) == 0.0
+    assert marginal_probability(cov, MarginalQuery((j,), (bits[j],))) == 1.0
+    flipped = tuple(b ^ (q == j) for q, b in enumerate(bits))
+    assert marginal_probability(cov, MarginalQuery(tuple(range(n)), flipped)) == 0.0
+    assert marginal_probability(cov, MarginalQuery(tuple(range(n)), bits)) == 1.0
+
+
+def test_marginal_on_a_within_tolerance_covariance_makes_one_lu_and_no_rescan(monkeypatch):
+    """Counters on the antisymmetry scan, its check and the LU, with
+    numpy's slogdet refused: only a covariance whose kept defect exceeds
+    half the tolerance has its submatrix scanned."""
+    import scipy.linalg.lapack
+
+    rng = np.random.default_rng(8)
+    n = 6
+    h = rng.normal(size=(2 * n, 2 * n))
+    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0, 1, 0))), [(2, expm_antisymmetric(h - h.T))])
+    assert cov.antisymmetry_defect <= linalg.TOL.antisymmetry / 2
+    g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
+    g[4, 6] = 5e-12
+    loose = CovarianceMatrix(g, 3)
+    calls = dict.fromkeys(("antisymmetry_defect", "check_antisymmetric", "dgetrf"), 0)
+    for owner, name in (
+        (linalg, "antisymmetry_defect"),
+        (linalg, "check_antisymmetric"),
+        (scipy.linalg.lapack, "dgetrf"),
+    ):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(np.linalg, "slogdet", None)
+    for k in (1, 3, n):
+        marginal_probability(cov, MarginalQuery(tuple(range(k)), (1,) * k))
+    assert calls == {"antisymmetry_defect": 0, "check_antisymmetric": 0, "dgetrf": 3}
+    marginal_probability(loose, MarginalQuery((0, 1), (0, 1)))
+    assert calls == {"antisymmetry_defect": 1, "check_antisymmetric": 1, "dgetrf": 4}
+
+
+def test_covariance_keeps_its_antisymmetry_defect():
+    g = product_state_covariance(BasisInput((0, 1))).gamma
+    assert CovarianceMatrix(g, 2).antisymmetry_defect == 0.0
+    off = g.copy()
+    off[2, 5] = 4e-12
+    assert CovarianceMatrix(off, 2).antisymmetry_defect == 4e-12
+    off = g.copy()
+    off[2, 5] = 2e-11  # past the 10x the constructor admits
+    with pytest.raises(linalg.NotAntisymmetric):
+        CovarianceMatrix(off, 2)

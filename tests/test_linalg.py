@@ -300,3 +300,72 @@ def test_slog_pfaffian_matches_schur_at_large_order():
         want_sign, want_log = schur_pfaffian(a)
         assert sign == want_sign
         assert log == pytest.approx(want_log, rel=1e-10)
+
+
+def _hadamard_log_bound(a):
+    """log of prod_i |row i|, which bounds log|det a|."""
+    return float(np.log(np.linalg.norm(a, axis=1)).sum())
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 101, 144, 288, 300])
+def test_log_abs_det_half_matches_slogdet_on_antisymmetric_matrices(order):
+    """log|det(a / 2)| against numpy's slogdet at orders 0 to 300: equal on
+    the nonsingular even orders, -inf on both sides for an exactly zero
+    row and column, and far below the Hadamard bound at odd orders, where
+    an antisymmetric matrix is singular but rounding leaves its pivots
+    nonzero."""
+    rng = np.random.default_rng(order)
+    a = random_antisymmetric(rng, order)
+    got = linalg.log_abs_det_half(np.array(a).T)
+    want = np.linalg.slogdet(0.5 * a)[1]
+    if order % 2 == 0:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    elif order == 1:
+        assert got == want == -math.inf  # the 1x1 zero matrix
+    else:
+        bound = _hadamard_log_bound(0.5 * a)
+        assert got < bound - 20 and want < bound - 20
+    if order:
+        singular = np.array(a)
+        j = int(rng.integers(order))
+        singular[j] = singular[:, j] = 0.0
+        assert linalg.log_abs_det_half(singular.T) == -math.inf
+        assert np.linalg.slogdet(singular)[1] == -math.inf
+
+
+def test_log_abs_det_half_factors_an_f_contiguous_matrix_in_place(capfd):
+    rng = np.random.default_rng(1)
+    a = random_antisymmetric(rng, 6)
+    kept = np.array(a)
+    linalg.log_abs_det_half(kept)
+    assert np.array_equal(kept, a)  # C-contiguous: factored in a copy
+    work = np.array(a)
+    got = linalg.log_abs_det_half(work.T)
+    assert not np.array_equal(work, a)  # F-contiguous: overwritten by its LU
+    assert got == pytest.approx(np.linalg.slogdet(0.5 * a)[1], rel=1e-13)
+    # order 0 makes no LAPACK call: dgetrf refuses it, on stdout
+    assert linalg.log_abs_det_half(np.zeros((0, 0))) == 0.0
+    assert capfd.readouterr() == ("", "")
+    with pytest.raises(ValueError, match="square"):
+        linalg.log_abs_det_half(np.zeros((2, 3)))
+
+
+def test_log_abs_det_half_raises_on_an_illegal_lapack_argument(monkeypatch):
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dgetrf", lambda a, overwrite_a=0: (a, None, -4)
+    )
+    with pytest.raises(ValueError, match="argument 4"):
+        linalg.log_abs_det_half(np.eye(2))
+
+
+def test_antisymmetry_defect_is_the_check_s_measure():
+    a = random_antisymmetric(np.random.default_rng(2), 5)
+    a[1, 3] += 3e-12
+    assert linalg.antisymmetry_defect(a) == pytest.approx(3e-12, rel=1e-3)
+    assert linalg.antisymmetry_defect(np.zeros((3, 0, 0))) == 0.0
+    assert math.isnan(linalg.antisymmetry_defect(np.full((2, 2), np.nan)))
+    linalg.check_antisymmetric(a, 4e-12)
+    with pytest.raises(linalg.NotAntisymmetric):
+        linalg.check_antisymmetric(a, 2e-12)
+    with pytest.raises(linalg.NotAntisymmetric, match="square"):
+        linalg.antisymmetry_defect(np.zeros((2, 3)))

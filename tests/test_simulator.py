@@ -738,3 +738,62 @@ def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
     compile_circuit.cache_clear()
     run_marginal(c, query())
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_out_of_range_query_qubits_are_refused_before_the_grants():
+    """A post-Clifford circuit refuses every marginal, but a qubit out of
+    range is an IndexError first."""
+    rng = np.random.default_rng(2)
+    n = 3
+    body = random_matchgate_layers(rng, n, 2)
+    c = Circuit(n, BasisInput((0, 0, 0)), tuple(body + [CliffordLayer("H", (0,))]), "post_clifford")
+    for qubits in ((3,), (-1,), (0, 2, 5), (-2, 1)):
+        with pytest.raises(IndexError, match="out of range"):
+            run_marginal(c, MarginalQuery(qubits, (0,) * len(qubits)))
+    with pytest.raises(UnsupportedQuery):
+        run_marginal(c, MarginalQuery((0, 2), (0, 1)))
+
+
+def _log_domain_marginal(readout, qubits, bits):
+    """sqrt|det((Gamma_S + D) / 2)| by numpy's slogdet on a fresh gather."""
+    idx = readout.pairs[list(qubits)].ravel()
+    sub = np.array(readout.cov.gamma[np.ix_(idx, idx)])
+    for i, b in enumerate(bits):
+        s = 1.0 - 2.0 * b
+        sub[2 * i, 2 * i + 1] += s
+        sub[2 * i + 1, 2 * i] -= s
+    return float(np.exp(0.5 * np.linalg.slogdet(0.5 * sub)[1]))
+
+
+@pytest.mark.parametrize("swaps", [False, True])
+def test_large_marginals_equal_the_log_determinant_at_n192(swaps):
+    """A basis input and one dense quadratic layer of scale 0.15 / sqrt(n),
+    free or under SWAPs, whose readout reads a permuted pair table: each
+    marginal equals sqrt|det((Gamma_S + D) / 2)| from slogdet, and
+    p(S) = p(S, 0) + p(S, 1)."""
+    rng = np.random.default_rng(192 + swaps)
+    n = 192
+    h = rng.normal(size=(2 * n, 2 * n)) * (0.15 / np.sqrt(n))
+    body = [QuadraticLayer(tuple(map(tuple, h - h.T)))]
+    inp = random_basis_input(rng, n)
+    if swaps:
+        gates = random_clifford_gates(rng, n, n, names=("SWAP",))
+        c = Circuit(n, inp, tuple(gates + body + invert_clifford_gates(gates)), "conjugated")
+    else:
+        c = Circuit(n, inp, tuple(body), "free")
+    readout = compile_circuit(c).readout
+    assert (readout.pairs != gaussian.majorana_pairs(n)).any() == swaps
+    gamma = readout.cov.gamma
+    for k in (1, 8, 72, 144, 192):
+        qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+        a, b = readout.pairs[list(qubits)].T
+        # mostly the likelier outcome per qubit, so p stays sizeable
+        likely = (gamma[a, b] < 0).astype(int)
+        bits = tuple(int(v) for v in likely ^ (rng.random(k) < 0.05))
+        p = run_marginal(c, MarginalQuery(qubits, bits))
+        assert p > 0.0
+        assert p == pytest.approx(_log_domain_marginal(readout, qubits, bits), rel=1e-12)
+        if k < n:
+            extra = next(q for q in range(n) if q not in qubits)
+            split = [run_marginal(c, MarginalQuery(qubits + (extra,), bits + (v,))) for v in (0, 1)]
+            assert sum(split) == pytest.approx(p, rel=1e-12)
