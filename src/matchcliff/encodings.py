@@ -211,25 +211,103 @@ def chain_monomials(members: np.ndarray) -> tuple:
     return rows, odd.sum(axis=-1, dtype=np.int64) % 4
 
 
-def chain_decompose(p: PauliString) -> tuple:
-    """decompose_pauli(jordan_wigner(p.n), p) in closed form.
+def chain_members(rows, ancilla: bool = False) -> np.ndarray:
+    """0/1 masks over the chain Majoranas of the Paulis with (x | z) rows
+    (..., 2n), in closed form.
 
-    With s_j the parity of p.x over the qubits after j, c_{2j+1} is a
+    With s_j the parity of x over the qubits after j, c_{2j+1} is a
     factor iff z_j + s_j = 1 and c_{2j} iff x_j + z_j + s_j = 1 (mod 2):
     each factor at qubit k > j leaves one Z at j, and the factors at j
-    leave its x and z bits.  The phase is p's relative to the monomial's
-    (see chain_monomials).  The extended frame's Majoranas are the chain
-    form on one more qubit, so its strings decompose here too.
+    leave its x and z bits.  With ancilla the masks run over the 2n + 2
+    Majoranas of the extended frame and are those of embed_l12(p): the
+    leading X of a string with odd x is c_1, never c_0, and logical
+    Majorana k is 2 + k.  The map is linear over GF(2), so the masks of
+    the rows v M are v chain_members(M) mod 2.
     """
-    odd = p.z ^ _later_parity(p.x)
-    members = np.empty(2 * p.n, dtype=np.uint8)
-    members[0::2] = p.x ^ odd
-    members[1::2] = odd
-    rows, phase = chain_monomials(members)
-    if not np.array_equal(rows, p.symplectic()):
+    rows = np.asarray(rows, dtype=np.uint8)
+    n = rows.shape[-1] // 2
+    x, z = rows[..., :n], rows[..., n:]
+    later = _later_parity(x)
+    odd = z ^ later
+    lead = 2 if ancilla else 0
+    members = np.zeros(rows.shape[:-1] + (2 * n + lead,), dtype=np.uint8)
+    if ancilla:
+        members[..., 1] = later[..., 0] ^ x[..., 0]
+    members[..., lead::2] = x ^ odd
+    members[..., lead + 1 :: 2] = odd
+    return members
+
+
+def _recompose(members: np.ndarray, rows: np.ndarray, ancilla: bool) -> np.ndarray:
+    """The phases of the chain monomials of the masks; raise unless their
+    (x | z) rows are the rows given, embedded when ancilla."""
+    got, phases = chain_monomials(members)
+    if ancilla:
+        n = rows.shape[-1] // 2
+        x, z = rows[..., :n], rows[..., n:]
+        lead = x.sum(axis=-1, dtype=np.int64)[..., None] & 1
+        zero = np.zeros_like(lead)
+        rows = np.concatenate([lead, x, zero, z], axis=-1)
+    if not np.array_equal(got, rows):
         raise AssertionError("decomposition failed to recompose")
+    return phases
+
+
+def chain_decompose(p: PauliString) -> tuple:
+    """decompose_pauli(jordan_wigner(p.n), p) in closed form
+    (chain_members).  The phase is p's relative to the monomial's (see
+    chain_monomials).  The extended frame's Majoranas are the chain form
+    on one more qubit, so its strings decompose here too.
+    """
+    row = p.symplectic()
+    members = chain_members(row)
+    phase = _recompose(members, row, False)
     indices = tuple(int(i) for i in np.flatnonzero(members))
     return indices, complex(1j ** ((p.phase_exp - int(phase)) % 4))
+
+
+class MajoranaMap:
+    """C p C^dag = i^phase c_I in the chain frame, for n-qubit Paulis p and
+    a fixed Clifford tableau C (the identity when None): one GF(2) map from
+    p's (x | z) row v to the mask of I, in the extended frame of
+    embed_l12 when ancilla.
+
+    C p C^dag has the row v M and the phase p.phase_exp + v . e +
+    2 v U v^T (CliffordTableau.conjugate_rows), and its mask is
+    v chain_members(M) mod 2, so one float table [masks | e | U] answers
+    a query with one vector-matrix product.  The map is linear, so its
+    recomposition check runs once, on the 2n unit rows, when it is built.
+    Without a tableau it is chain_members on the row, with no table.
+    """
+
+    def __init__(self, n: int, tableau=None, ancilla: bool = False):
+        self.n = n
+        self.ancilla = ancilla
+        self._table = None
+        rows = np.eye(2 * n, dtype=np.uint8) if tableau is None else tableau.matrix
+        masks = chain_members(rows, ancilla)
+        _recompose(masks, rows, ancilla)
+        if tableau is not None:
+            self._width = masks.shape[1]
+            self._table = np.concatenate(
+                [masks, tableau.phases[:, None], tableau.order_form], axis=1
+            ).astype(np.float64)
+
+    def __call__(self, p: PauliString) -> tuple:
+        """(ascending indices I as an intp array, phase mod 4)."""
+        if p.n != self.n:
+            raise ValueError(f"length mismatch: {p.n} != {self.n}")
+        phase = p.phase_exp
+        if self._table is None:
+            members = chain_members(p.symplectic(), self.ancilla)
+        else:
+            v = np.concatenate([p.x, p.z], dtype=np.float64)
+            image = v @ self._table
+            w = self._width
+            members = image[:w].astype(np.int64) & 1
+            phase += int(image[w]) + 2 * int(image[w + 1 :] @ v)
+        odd = int(np.count_nonzero(members[1::2]))
+        return np.flatnonzero(members), (phase - odd) % 4
 
 
 def _recompose_phase(p: PauliString, factors) -> complex:

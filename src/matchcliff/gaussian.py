@@ -18,9 +18,9 @@ import numpy as np
 
 from . import linalg
 from .encodings import (
+    MajoranaMap,
     chain_decompose,
     decompose_pauli,  # unused here; bench/tracing.py wraps this binding
-    embed_l12,
 )
 from .linalg import TOL
 from .pauli import PauliString
@@ -34,32 +34,41 @@ class InternalConsistencyError(AssertionError):
     """A value violated a bound that only a sign/convention bug can break."""
 
 
+# a query bit, as the int it stands for; any other value is refused
+_BITS = {0: 0, 1: 1}
+
+
 @dataclass(frozen=True)
 class MarginalQuery:
     qubits: tuple
     bits: tuple
 
     def __post_init__(self):
-        if not set(self.bits) <= {0, 1}:
-            raise ValueError(f"query bits must be 0 or 1, got {self.bits!r}")
-        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
-        object.__setattr__(self, "bits", tuple(map(int, self.bits)))
-        if len(self.qubits) != len(self.bits):
+        try:
+            bits = tuple(map(_BITS.__getitem__, self.bits))
+        except KeyError:
+            raise ValueError(f"query bits must be 0 or 1, got {self.bits!r}") from None
+        qubits = tuple(map(int, self.qubits))
+        if len(qubits) != len(bits):
             raise ValueError("qubits and bits differ in length")
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(set(qubits)) != len(qubits):
             raise ValueError("repeated query qubit")
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "bits", bits)
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    gamma: np.ndarray  # (2n+2, 2n+2), the ancilla pair first
+    # (2n+2, 2n+2), the ancilla pair first; kept as a read-only copy, so
+    # the caller's array stays writeable
+    gamma: np.ndarray
     n: int  # logical qubit count
     # max |gamma_jk + gamma_kj|, kept so that readout rescans only a
     # covariance that is not antisymmetric to well within TOL.antisymmetry
     antisymmetry_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
+        g = np.array(self.gamma, dtype=float)
         defect = linalg.antisymmetry_defect(g)
         if not defect <= TOL.antisymmetry * 10:
             raise linalg.NotAntisymmetric(
@@ -174,30 +183,44 @@ def product_state_covariance(inp) -> CovarianceMatrix:
     return CovarianceMatrix(g - g.T, n)
 
 
-def monomial_expectation(c: CovarianceMatrix, indices) -> float:
-    """(-i)^k <c_{i_1} ... c_{i_2k}> = Pf of the covariance submatrix."""
-    indices = tuple(int(i) for i in indices)
-    if len(indices) % 2:
-        raise ValueError("odd monomials need the parity argument; rejected here")
-    m = c.gamma.shape[0]
-    if any(not 0 <= i < m for i in indices):
-        raise IndexError("Majorana index out of range")
-    if len(set(indices)) != len(indices):
-        raise ValueError("repeated Majorana index")
-    idx = np.array(indices, dtype=np.intp)
-    return linalg.pfaffian(c.gamma[idx[:, None], idx])
+def _rescan(c: CovarianceMatrix, sub: np.ndarray) -> None:
+    """Check a submatrix read from c for antisymmetry, unless c's kept
+    defect is within half of TOL.antisymmetry: below that, a submatrix,
+    even with outcome signs added, cannot exceed the tolerance."""
+    if c.antisymmetry_defect > TOL.antisymmetry / 2:
+        linalg.check_antisymmetric(sub)
 
 
-def pauli_expectation(c: CovarianceMatrix, p: PauliString) -> float:
-    """<p> on the Gaussian state, exact via Wick's theorem.  The embedded
-    string embed_l12(p) is a product of an even number of Majoranas."""
-    if p.n != c.n:
-        raise ValueError("length mismatch")
+@functools.lru_cache(maxsize=64)
+def chain_map(n: int) -> MajoranaMap:
+    """The map of n-qubit Paulis p to the covariance's Majoranas, those of
+    embed_l12(p), in closed form and the same for every free circuit of
+    size n."""
+    return MajoranaMap(n, ancilla=True)
+
+
+def pauli_expectation(
+    c: CovarianceMatrix, p: PauliString, majoranas: MajoranaMap | None = None
+) -> float:
+    """<p> on the Gaussian state, exact via Wick's theorem.
+
+    majoranas maps p to i^phase c_I over the covariance's Majoranas, a
+    compiled circuit's pull-back through its Clifford included; by
+    default chain_map(n), embed_l12(p), a product of an even number
+    2k of Majoranas.  (-i)^k <c_I> = Pf(Gamma_I), so
+    <p> = i^(phase + k) Pf(Gamma_I), with Gamma_I rescanned for
+    antisymmetry under the rule of marginal_probability.
+    """
+    if majoranas is None:
+        if p.n != c.n:
+            raise ValueError("length mismatch")
+        majoranas = chain_map(c.n)
+    indices, phase = majoranas(p)
     if not p.is_hermitian():
         raise ValueError("expectation of a non-Hermitian string")
-    indices, phase = chain_decompose(embed_l12(p))
-    k = len(indices) // 2
-    val = phase * (1j**k) * monomial_expectation(c, indices)
+    sub = c.gamma.take(indices, axis=0).take(indices, axis=1)
+    _rescan(c, sub)
+    val = 1j ** ((phase + len(indices) // 2) % 4) * linalg.pfaffian(sub, check=False)
     if not abs(val.imag) <= TOL.expectation_imag:
         raise InternalConsistencyError(
             f"expectation has imaginary residue {val.imag:.3e}"
@@ -228,7 +251,10 @@ def marginal_probability(
     block-diagonal antisymmetric matrix of the outcome signs
     s_i = (-1)^{bit}.  A probability is non-negative and Pf^2 = det, so
     it equals sqrt|det((Gamma_S + D) / 2)|, computed in the log domain,
-    which neither overflows nor cancels a k ln 2 term.
+    which neither overflows nor cancels a k ln 2 term.  Its error is
+    absolute, about 1e-16: a probability below about 1e-15 is rounding
+    noise, not a zero, and an exact 0.0 comes only from an exactly zero
+    pivot.
 
     One query costs one gather of Gamma_S, by two takes, and one in-place
     LAPACK LU (linalg.log_abs_det_half) of its transpose with the signs added;
@@ -254,8 +280,7 @@ def marginal_probability(
     flat = sub.reshape(-1)
     flat[1 :: 4 * k + 2] += signs
     flat[2 * k :: 4 * k + 2] -= signs
-    if c.antisymmetry_defect > TOL.antisymmetry / 2:
-        linalg.check_antisymmetric(sub)
+    _rescan(c, sub)
     prob = math.exp(0.5 * linalg.log_abs_det_half(sub.T))
     if not -TOL.probability <= prob <= 1.0 + TOL.probability:
         raise InternalConsistencyError(f"probability {prob} outside [0, 1]")

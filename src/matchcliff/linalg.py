@@ -3,6 +3,7 @@ of antisymmetric matrices and block rotations."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,11 @@ def slog_pfaffian(a: np.ndarray) -> tuple:
     Returns (1.0, 0.0) for the empty 0x0 matrix and (0.0, -inf) for odd
     order or a zero factor T[2i, 2i+1].
     """
-    a = check_antisymmetric(a)
+    return _slog_pfaffian(check_antisymmetric(a))
+
+
+def _slog_pfaffian(a: np.ndarray) -> tuple:
+    """slog_pfaffian without the scan for antisymmetry."""
     if a.ndim != 2:
         raise NotAntisymmetric(f"expected one square matrix, got shape {a.shape}")
     m = a.shape[0]
@@ -72,11 +77,11 @@ def slog_pfaffian(a: np.ndarray) -> tuple:
     t, tau, info = scipy.linalg.lapack.dgehrd(0.5 * (a - a.T))
     if info != 0:
         raise ValueError(f"dgehrd failed with info={info}")
-    factors = t.diagonal(1)[::2]
-    if not factors.all():
+    factors = t.diagonal(1)[::2].tolist()
+    if not all(factors):
         return 0.0, -math.inf
-    flips = np.count_nonzero(tau) + np.count_nonzero(factors < 0.0)
-    return -1.0 if flips % 2 else 1.0, float(np.log(np.abs(factors)).sum())
+    flips = np.count_nonzero(tau) + sum(f < 0.0 for f in factors)
+    return -1.0 if flips % 2 else 1.0, math.fsum(map(math.log, map(abs, factors)))
 
 
 def log_abs_det_half(a: np.ndarray) -> float:
@@ -86,29 +91,56 @@ def log_abs_det_half(a: np.ndarray) -> float:
 
     The sum runs over log|u_ii / 2| on the diagonal of U.  Halving is
     exact, so this is the LU of a / 2 with the same pivots, and the log
-    neither overflows nor cancels an m ln 2 term.  Returns 0.0 for the
-    empty 0x0 matrix without a LAPACK call (dgetrf refuses order 0), and
-    -inf for an exactly zero pivot (info > 0).
+    neither overflows nor cancels an m ln 2 term.  The sum is the log of
+    the product of the pivots, halved by m exact binary shifts, when no
+    partial product can leave the normal floats: with b = max(1, max
+    |u_ii|), each lies between |product| / b^m and b^m.  Otherwise the
+    logs are summed one by one.  Returns 0.0 for the empty 0x0 matrix
+    without a LAPACK call (dgetrf refuses order 0), and -inf for an
+    exactly zero pivot (info > 0).
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected one square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    m = a.shape[0]
+    if m == 0:
         return 0.0
     lu, _, info = scipy.linalg.lapack.dgetrf(a, overwrite_a=1)
     if info < 0:
         raise ValueError(f"dgetrf refused argument {-info}")
     if info > 0:
         return -math.inf
-    return float(np.log(np.abs(0.5 * lu.diagonal())).sum())
+    pivots = lu.diagonal()
+    values = pivots.tolist()
+    # b^m < 2^bound, and |product| >= 2^(its frexp exponent - 1)
+    bound = m * max(math.frexp(max(map(abs, values)))[1], 0)
+    product = abs(math.prod(values))
+    if (
+        product
+        and bound < sys.float_info.max_exp
+        and math.frexp(product)[1] - bound - m >= sys.float_info.min_exp
+    ):
+        return math.log(math.ldexp(product, -m))
+    return float(np.log(np.abs(0.5 * pivots)).sum())
 
 
-def pfaffian(a: np.ndarray) -> float:
-    """Pfaffian as sign * exp(log|Pf|) from slog_pfaffian.
+def pfaffian(a: np.ndarray, *, check: bool = True) -> float:
+    """Pfaffian as sign * exp(log|Pf|) from slog_pfaffian; order 2 in
+    closed form, Pf = (a_01 - a_10) / 2, the factor slog_pfaffian reads
+    there.
 
     Returns 0.0 for odd dimension; Pf of the empty 0x0 matrix is 1.
-    Raises ValueError when the value is not a finite float.
+    Raises ValueError when the value is not a finite float.  check=False
+    skips the scan for antisymmetry, for a caller that has bounded a's
+    defect already.
     """
-    sign, log = slog_pfaffian(a)
+    if check:
+        a = check_antisymmetric(a)
+    if a.shape == (2, 2):
+        value = float(0.5 * (a[0, 1] - a[1, 0]))
+        if not math.isfinite(value):
+            raise ValueError(f"Pfaffian is not a finite float: {value}")
+        return value
+    sign, log = _slog_pfaffian(a)
     try:
         value = sign * math.exp(log)
     except OverflowError:

@@ -94,7 +94,7 @@ class PauliString:
 
     @property
     def y_count(self) -> int:
-        return int(np.sum(self.x & self.z))
+        return int(np.count_nonzero(self.x & self.z))
 
     def is_identity(self) -> bool:
         return self.phase_exp == 0 and not self.x.any() and not self.z.any()

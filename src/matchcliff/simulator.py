@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from .encodings import chain_decompose, chain_majorana, chain_monomials, embed_l12
+from .encodings import MajoranaMap, chain_majorana, chain_monomials, embed_l12
 from .gaussian import CovarianceMatrix, MarginalQuery
 from .pauli import _X, _Y, _Z, PauliString
 from .tableau import CliffordClass, CliffordTableau
@@ -36,7 +37,7 @@ from .tableau import CliffordClass, CliffordTableau
 D_MAX_DEFAULT = 4
 D_MAX_CAP = 6
 # index sets per batch of the restricted sum, which bounds its memory
-# when C(2n, d) is large
+# when C(2n, d) is large; a sum that fits in one batch is kept per degree
 MINOR_BATCH = 2048
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -219,11 +220,11 @@ class CompiledCircuit:
     # (A, b) with C|x> = phase |A x + b mod 2>, for a basis-permuting C
     basis_map: tuple | None = None
 
-    # The restricted route's body product and the covariance route's
-    # readout are built on their first query, not while compiling, so a
-    # circuit holds only what its queries read: free circuits, whose
-    # dispatcher route is the covariance, would otherwise hold a 2n x 2n
-    # product they never read.
+    # The restricted route's body product, maps and kept batches and the
+    # covariance route's readout and map are built on their first query,
+    # not while compiling, so a circuit holds only what its queries read:
+    # free circuits, whose dispatcher route is the covariance, would
+    # otherwise hold a 2n x 2n product they never read.
 
     @functools.cached_property
     def body_product(self) -> np.ndarray:
@@ -257,6 +258,39 @@ class CompiledCircuit:
         if perm is not None:
             pairs = pairs[list(perm)]
         return Readout(cov, pairs)
+
+    @functools.cached_property
+    def basis_masks(self) -> tuple:
+        """basis_map as ints, bit i for row i: (the columns of A, b), so
+        that a query's bits pull back by XORs."""
+        a, b = self.basis_map
+        columns = tuple(sum(1 << int(i) for i in np.flatnonzero(col)) for col in a.T)
+        return columns, sum(1 << int(i) for i in np.flatnonzero(b))
+
+    @functools.cached_property
+    def expectation_map(self) -> MajoranaMap | None:
+        """The covariance route's map of a query p to the covariance's
+        Majoranas, those of embed_l12(post_inverse p post_inverse^dag);
+        None for a free circuit, whose queries gaussian.pauli_expectation
+        maps in closed form."""
+        if self.post_inverse is None:
+            return None
+        return MajoranaMap(self.circuit.n, self.post_inverse, ancilla=True)
+
+    @functools.cached_property
+    def restricted_map(self) -> MajoranaMap:
+        """The restricted route's map of a query p to C p C^dag = mu c_I,
+        C the leading Clifford block (none for a free circuit)."""
+        c = self.circuit
+        lead = c.conjugation_tableau() if c.structure == "conjugated" else None
+        return MajoranaMap(c.n, lead)
+
+    @functools.cached_property
+    def minor_batches(self) -> dict:
+        """d -> (index sets, dressed values) of the whole restricted sum of
+        degree d, for each d with C(2n, d) <= MINOR_BATCH queried so far:
+        at most D_MAX_CAP + 1 batches of at most MINOR_BATCH sets."""
+        return {}
 
 
 @functools.lru_cache(maxsize=256)
@@ -309,14 +343,15 @@ def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> f
     cc = compile_circuit(c)
     if cc.grants.expectation_method(c.input) == "restricted":
         return restricted_pauli_expectation(c, p, d_max=d_max)
-    q = p if cc.post_inverse is None else cc.post_inverse.conjugate_pauli(p)
-    return gaussian.pauli_expectation(cc.readout.cov, q)
+    return gaussian.pauli_expectation(cc.readout.cov, p, cc.expectation_map)
 
 
 def run_marginal(c: Circuit, q: MarginalQuery) -> float:
     """Probability of the bits on the qubits after the full circuit.  A
     Clifford maps a basis state to a unit-modulus multiple of a basis
-    state, so its phases never weigh on a probability."""
+    state, so its phases never weigh on a probability.  The error is
+    absolute, about 1e-16 (gaussian.marginal_probability): a probability
+    below about 1e-15 is rounding noise, not a zero."""
     cc = compile_circuit(c)
     n = c.n
     if q.qubits and not (min(q.qubits) >= 0 and max(q.qubits) < n):
@@ -327,13 +362,14 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
         cc.grants.require(CIbO if len(q.qubits) == n else CIBO)
     readout = cc.readout
     # under the permutation class only full-length queries are granted,
-    # and their bits pull back through the affine basis map
+    # and their bits x pull back through the affine basis map: A x + b is
+    # b XOR the columns of A at the qubits whose bit is 1
     if cc.conj_class == CliffordClass.PERMUTATION:
-        full = np.zeros(n, dtype=np.int64)
-        full[list(q.qubits)] = q.bits
-        a, b = cc.basis_map
-        bits = (a @ full + b) & 1
-        q = MarginalQuery(q.qubits, tuple(bits[list(q.qubits)].tolist()))
+        columns, image = cc.basis_masks
+        for qubit, bit in zip(q.qubits, q.bits):
+            if bit:
+                image ^= columns[qubit]
+        q = MarginalQuery(q.qubits, tuple((image >> qubit) & 1 for qubit in q.qubits))
     return gaussian.marginal_probability(readout.cov, q, pairs=readout.pairs)
 
 
@@ -349,18 +385,54 @@ def _check_d_max(d_max: int) -> None:
         raise ValueError(f"d_max capped at {D_MAX_CAP} and at least 0, got {d_max}")
 
 
+def _dressed_values(c: Circuit, js: np.ndarray) -> np.ndarray:
+    """<c_J> on the input after the trailing Clifford block, for the
+    ascending index sets J, the rows of js: c_J from chain_monomials,
+    dressed by one tableau conjugation, is i^e X^x Z^z, whose value on
+    the product input is i^e prod_a T[a, 2 x_a + z_a]."""
+    n = c.n
+    members = np.zeros((len(js), 2 * n), dtype=np.uint8)
+    members[np.arange(len(js))[:, None], js] = 1
+    rows, phases = chain_monomials(members)
+    rows, phases = c.post_tableau().conjugate_rows(rows, phases)
+    table = _input_table(c.input)
+    values = np.prod(table[np.arange(n), 2 * rows[:, :n] + rows[:, n:]], axis=1)
+    return _I_POWERS[phases] * values
+
+
+def _minor_batches(cc: CompiledCircuit, d: int):
+    """(index sets, dressed values) over the C(2n, d) ascending index sets
+    J, |J| = d, in batches of MINOR_BATCH sets; kept with the circuit
+    when they fit in one batch."""
+    c = cc.circuit
+    kept = math.comb(2 * c.n, d) <= MINOR_BATCH
+    if kept and d in cc.minor_batches:
+        yield cc.minor_batches[d]
+        return
+    sets = itertools.combinations(range(2 * c.n), d)
+    while chunk := list(itertools.islice(sets, MINOR_BATCH)):
+        js = np.array(chunk, dtype=np.intp).reshape(len(chunk), d)
+        batch = js, _dressed_values(c, js)
+        if kept:
+            cc.minor_batches[d] = batch
+        yield batch
+
+
 def restricted_pauli_expectation(
     c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT
 ) -> float:
     """Heisenberg-sum expectation for conjugated circuits.  The query is
     conjugated into the chain frame, C p C^dag = mu c_I with C the leading
-    Clifford block; the body rotation S gives U^dag c_I U = sum over the
-    ascending J with |J| = d of det(S[I, J]) c_J; each c_J is dressed by
-    the trailing block (the inverse of C) and read against the input's
-    per-qubit Pauli table.
+    Clifford block, by the compiled restricted_map; the body rotation S
+    gives U^dag c_I U = sum over the ascending J with |J| = d of
+    det(S[I, J]) c_J; each c_J is dressed by the trailing block (the
+    inverse of C) and read against the input's per-qubit Pauli table.
 
-    Cost C(2n, d) minors, in batches of MINOR_BATCH index sets; refuses
-    when the query needs more than d_max Majorana factors (hard cap 6).
+    Cost C(2n, d) minors, in batches of MINOR_BATCH index sets; a sum
+    that fits in one batch keeps its index sets and dressed values with
+    the circuit, so a query is then one row gather of S, one batched
+    determinant and one dot.  Refuses when the query needs more than
+    d_max Majorana factors (hard cap 6).
     """
     _check_d_max(d_max)
     if not p.is_hermitian():
@@ -369,29 +441,18 @@ def restricted_pauli_expectation(
     cc.grants.require(PIpO)
     if c.has_linear():  # a free body, whose linear layers the covariance route reads
         raise UnsupportedQuery(_NO_LINEAR)
-    n = c.n
-    indices, mu = chain_decompose(c.conjugation_tableau().conjugate_pauli(p))
+    indices, phase = cc.restricted_map(p)
     d = len(indices)
     if d > d_max:
         raise DegreeTooLarge(
             f"query needs {d} Majorana factors, above the limit {d_max}"
         )
-    s_rows = cc.body_product[list(indices)]
-    table = _input_table(c.input)
-    post = c.post_tableau()
-    sites = np.arange(n)
-    sets = itertools.combinations(range(2 * n), d)
+    # row J of s_cols[js] is S[I, J] transposed, which has its determinant
+    s_cols = cc.body_product.take(indices, axis=0).T
     total = 0.0 + 0.0j
-    while chunk := list(itertools.islice(sets, MINOR_BATCH)):
-        js = np.array(chunk, dtype=np.intp).reshape(len(chunk), d)
-        weights = np.linalg.det(s_rows[:, js].transpose(1, 0, 2))
-        members = np.zeros((len(chunk), 2 * n), dtype=np.uint8)
-        members[np.arange(len(chunk))[:, None], js] = 1
-        rows, phases = chain_monomials(members)
-        rows, phases = post.conjugate_rows(rows, phases)
-        values = np.prod(table[sites, 2 * rows[:, :n] + rows[:, n:]], axis=1)
-        total += weights @ (_I_POWERS[phases] * values)
-    val = mu * total
+    for js, values in _minor_batches(cc, d):
+        total += np.linalg.det(s_cols[js]) @ values
+    val = _I_POWERS[phase] * total
     if not abs(val.imag) <= linalg.TOL.restricted_imag:
         raise gaussian.InternalConsistencyError(
             f"restricted expectation has imaginary residue {val.imag:.3e}"

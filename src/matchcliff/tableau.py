@@ -84,7 +84,7 @@ class CliffordTableau:
         return self._image(self.n + q)
 
     @functools.cached_property
-    def _order_form(self) -> np.ndarray:
+    def order_form(self) -> np.ndarray:
         """U[k, l] = z_k . x_l mod 2 when generator k comes before generator
         l in the factor order X_0, Z_0, X_1, Z_1, ..., else 0.  Multiplying
         out the images selected by v leaves the sign (-1)^(v U v^T)."""
@@ -104,7 +104,7 @@ class CliffordTableau:
         # integer mask is far cheaper than a float modulo
         v = np.asarray(v, dtype=np.float64)
         rows = ((v @ self.matrix).astype(np.int64) & 1).astype(np.uint8)
-        order = ((v @ self._order_form) * v).sum(axis=1)
+        order = ((v @ self.order_form) * v).sum(axis=1)
         out = np.asarray(phases, dtype=np.float64) + v @ self.phases + 2 * order
         return rows, (out.astype(np.int64) & 3).astype(np.uint8)
 

@@ -85,3 +85,48 @@ def random_pauli_string(rng, n):
     return PauliString.from_string(
         "".join(letters[rng.integers(4)] for _ in range(n))
     )
+
+
+def _route_circuits(n, seed):
+    """One circuit per query route of the Clifford hierarchy at size n:
+    a matchgate body after a product input (post-Clifford, SWAP) or a
+    basis input (CZ+SWAP, permutation, general), with its Clifford
+    blocks drawn so that the gate set fixes the class.  SWAPs only; SWAPs
+    then CZs on distinct pairs; a CNOT between a SWAP/CZ word and its
+    reverse (a Z image of weight two); a leading Hadamard (an X in a Z
+    image)."""
+    from matchcliff.tableau import CliffordClass, classify
+
+    rng = np.random.default_rng([seed, n])
+    product = random_product_input(rng, n)
+    body = random_matchgate_layers(rng, n, 2 * n)
+    trail = random_clifford_gates(rng, n, 2 * n)
+    circuits = {"post_clifford": Circuit(n, product, tuple(body + trail), "post_clifford")}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    czs = [CliffordLayer("CZ", pairs[int(k)]) for k in rng.permutation(len(pairs))[: max(1, n // 2)]]
+    swaps = random_clifford_gates(rng, n, n, ("SWAP",))
+    mixed = random_clifford_gates(rng, n, n, ("SWAP", "CZ"))
+    leads = {
+        CliffordClass.SWAP_ONLY: (product, swaps),
+        CliffordClass.CZ_SWAP: (random_basis_input(rng, n), swaps + czs),
+        CliffordClass.PERMUTATION: (
+            random_basis_input(rng, n),
+            mixed + [CliffordLayer("CNOT", (0, 1))] + mixed[::-1],
+        ),
+        CliffordClass.GENERAL: (
+            random_basis_input(rng, n),
+            [CliffordLayer("H", (0,))] + random_clifford_gates(rng, n, n, TWO_QUBIT_GATES),
+        ),
+    }
+    for cls, (inp, lead) in leads.items():
+        c = conjugated_circuit(rng, n, inp, lead, body_count=2 * n)
+        assert classify(c.conjugation_tableau()) == cls, (cls, n, seed)
+        circuits[cls] = c
+    return circuits
+
+
+@pytest.fixture
+def route_circuits():
+    """Builder of one circuit per Clifford-hierarchy route for (n, seed),
+    n >= 2: keys "post_clifford" and each conjugated CliffordClass."""
+    return _route_circuits

@@ -319,3 +319,28 @@ def test_oracle_check_reports_a_body_that_compile_refuses(capsys, tmp_path):
         assert out == ""
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error=generator too large")
+
+
+@pytest.mark.parametrize("route", ["free", "post_clifford", "restricted"])
+def test_refusals_keep_their_exit_code_on_every_route(capsys, tmp_path, route_circuits, route):
+    from matchcliff import circuits
+    from matchcliff.tableau import CliffordClass
+
+    n = 4
+    built = route_circuits(n, 6)
+    post = built["post_clifford"]
+    c = {
+        "free": circuits.Circuit(n, post.input, post.body_layers(), "free"),
+        "post_clifford": post,
+        "restricted": built[CliffordClass.GENERAL],
+    }[route]
+    path = tmp_path / "circuit.json"
+    circuits.save(c, path)
+    for pauli, message in (
+        ("iZIII", "expectation of a non-Hermitian string"),
+        ("ZII", "pauli has 3 letters, circuit has 4 qubits"),
+    ):
+        code, out, err = run_cli(capsys, "expect", str(path), "--pauli", pauli)
+        assert (code, out, err.strip()) == (1, "", f"error={message}")
+    code, out, _ = run_cli(capsys, "expect", str(path), "--pauli", "ZIII")
+    assert code == 0 and "value=" in out

@@ -413,3 +413,13 @@ def test_covariance_keeps_its_antisymmetry_defect():
     off[2, 5] = 2e-11  # past the 10x the constructor admits
     with pytest.raises(linalg.NotAntisymmetric):
         CovarianceMatrix(off, 2)
+
+
+def test_covariance_keeps_a_read_only_copy_of_the_callers_array():
+    """The constructor made the caller's array read-only; it now keeps a
+    read-only copy, and the caller's array stays writeable."""
+    g = product_state_covariance(BasisInput((0, 1))).gamma.copy()
+    cov = CovarianceMatrix(g, 2)
+    assert g.flags.writeable and not cov.gamma.flags.writeable
+    g[2, 5] = 0.5
+    assert cov.gamma[2, 5] == 0.0

@@ -369,3 +369,42 @@ def test_antisymmetry_defect_is_the_check_s_measure():
         linalg.check_antisymmetric(a, 2e-12)
     with pytest.raises(linalg.NotAntisymmetric, match="square"):
         linalg.antisymmetry_defect(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 16, 64, 288])
+def test_log_abs_det_half_equals_slogdet(m):
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(m, m))
+    want = np.linalg.slogdet(a / 2)[1]
+    assert linalg.log_abs_det_half(np.asfortranarray(a)) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "pivots",
+    [
+        [1e-200] * 4,  # the product underflows
+        [1e200] * 4,  # the product overflows
+        [1e300, 1e-300, 1.0],  # a partial product could leave the normal range
+        [1e-300, 1e300, 0.25],
+    ],
+)
+def test_log_abs_det_half_sums_logs_when_the_product_leaves_the_normal_range(pivots):
+    a = np.diag(pivots)
+    want = float(np.sum(np.log(np.abs(pivots)))) - len(pivots) * np.log(2.0)
+    assert linalg.log_abs_det_half(np.asfortranarray(a)) == pytest.approx(want, rel=1e-14)
+
+
+def test_pfaffian_of_order_two_is_closed_form_and_its_scan_optional(monkeypatch):
+    import scipy.linalg.lapack
+
+    a = np.array([[0.0, 3.5], [-3.5, 0.0]])
+    monkeypatch.setattr(scipy.linalg.lapack, "dgehrd", None)
+    assert linalg.pfaffian(a) == 3.5
+    assert linalg.pfaffian(a, check=False) == 3.5
+    monkeypatch.undo()
+    with pytest.raises(linalg.NotAntisymmetric):
+        linalg.pfaffian(np.eye(4))
+    # a caller that bounded the defect itself skips the scan
+    assert linalg.pfaffian(np.eye(4), check=False) == 0.0
+    b = random_antisymmetric(np.random.default_rng(5), 6)
+    assert linalg.pfaffian(b, check=False) == linalg.pfaffian(b)

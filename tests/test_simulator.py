@@ -15,7 +15,7 @@ from matchcliff.circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from matchcliff.encodings import chain_monomials
+from matchcliff.encodings import chain_decompose, chain_majorana, chain_monomials, embed_l12
 from matchcliff.gaussian import MarginalQuery
 from matchcliff.pauli import PauliString
 from matchcliff.simulator import (
@@ -740,6 +740,32 @@ def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
     assert calls == dict.fromkeys(calls, 1)
 
 
+@pytest.mark.parametrize(
+    "kind", ["free_basis", "free_product", "swap_product", "cz_swap_basis", "permutation"]
+)
+def test_every_granted_marginal_goes_through_marginal_probability(monkeypatch, kind):
+    """gaussian.marginal_probability is the one kernel entry point of a
+    marginal, the permutation class's pulled-back bits included."""
+    rng = np.random.default_rng(23)
+    n = 4
+    c = _granted_marginal_circuits(rng, n)[kind]
+    calls = []
+
+    def counted(cov, q, **kwargs):
+        calls.append(q)
+        return kernel(cov, q, **kwargs)
+
+    kernel = gaussian.marginal_probability
+    monkeypatch.setattr(gaussian, "marginal_probability", counted)
+    ref = oracle.apply_circuit(c)
+    for _ in range(4):
+        k = n if kind == "permutation" else int(rng.integers(1, n + 1))
+        qubits = tuple(int(x) for x in rng.choice(n, size=k, replace=False))
+        q = MarginalQuery(qubits, tuple(int(b) for b in rng.integers(0, 2, size=k)))
+        assert abs(run_marginal(c, q) - oracle.marginal(ref, q.qubits, q.bits)) <= 1e-9
+    assert len(calls) == 4
+
+
 def test_out_of_range_query_qubits_are_refused_before_the_grants():
     """A post-Clifford circuit refuses every marginal, but a qubit out of
     range is an IndexError first."""
@@ -797,3 +823,180 @@ def test_large_marginals_equal_the_log_determinant_at_n192(swaps):
             extra = next(q for q in range(n) if q not in qubits)
             split = [run_marginal(c, MarginalQuery(qubits + (extra,), bits + (v,))) for v in (0, 1)]
             assert sum(split) == pytest.approx(p, rel=1e-12)
+
+
+# -- queries as compiled x|z rows ---------------------------------------
+
+
+def _all_paulis(n):
+    """Every n-qubit string at every phase, i^e X^x Z^z."""
+    for code in range(4**n):
+        letters = [(code >> (2 * q)) & 3 for q in range(n)]
+        x = np.array([v & 1 for v in letters], dtype=np.uint8)
+        z = np.array([v >> 1 for v in letters], dtype=np.uint8)
+        for e in range(4):
+            yield PauliString(x, z, e)
+
+
+def _random_paulis(rng, n, count):
+    for _ in range(count):
+        x, z = rng.integers(0, 2, size=(2, n))
+        yield PauliString(x, z, int(rng.integers(4)))
+
+
+def _assert_map_decomposes(majoranas, reference, paulis):
+    for p in paulis:
+        indices, phase = majoranas(p)
+        want, mu = reference(p)
+        assert tuple(indices.tolist()) == want, p
+        assert 1j**phase == mu, p
+
+
+def _route_maps(cc):
+    """(map, reference) of the routes that a compiled circuit's queries
+    take: the covariance route's pull-back into the extended frame, the
+    restricted route's conjugation into the chain frame."""
+    c = cc.circuit
+    if c.structure == "post_clifford":
+        post = cc.post_inverse
+        return cc.expectation_map, lambda p: chain_decompose(embed_l12(post.conjugate_pauli(p)))
+    conj = c.conjugation_tableau()
+    return cc.restricted_map, lambda p: chain_decompose(conj.conjugate_pauli(p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_free_maps_equal_the_pauli_string_route_on_every_string(n):
+    rng = np.random.default_rng(n)
+    c = Circuit(n, random_basis_input(rng, n), tuple(random_matchgate_layers(rng, n, 2)) if n > 1 else (), "free")
+    cc = compile_circuit(c)
+    assert cc.expectation_map is None  # gaussian.chain_map(n) reads its queries
+    _assert_map_decomposes(gaussian.chain_map(n), lambda p: chain_decompose(embed_l12(p)), _all_paulis(n))
+    _assert_map_decomposes(cc.restricted_map, chain_decompose, _all_paulis(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compiled_maps_equal_the_pauli_string_route_on_every_string(route_circuits, n):
+    for seed in range(2):
+        for c in route_circuits(n, seed).values():
+            _assert_map_decomposes(*_route_maps(compile_circuit(c)), _all_paulis(n))
+
+
+def test_compiled_maps_equal_the_pauli_string_route_at_n64(route_circuits):
+    n = 64
+    rng = np.random.default_rng(64)
+    paulis = list(_random_paulis(rng, n, 200))
+    for c in route_circuits(n, 0).values():
+        _assert_map_decomposes(*_route_maps(compile_circuit(c)), paulis)
+    _assert_map_decomposes(gaussian.chain_map(n), lambda p: chain_decompose(embed_l12(p)), paulis)
+
+
+def _degree_query(c, d, rng):
+    """A Hermitian p with C p C^dag of Majorana degree d, C the leading
+    block."""
+    n = c.n
+    prod = PauliString.identity(n)
+    for j in sorted(rng.choice(2 * n, size=d, replace=False)):
+        prod = prod * chain_majorana(n, int(j))
+    if not prod.is_hermitian():
+        prod = prod.times_i()
+    return tableau.invert(c.conjugation_tableau()).conjugate_pauli(prod)
+
+
+def test_kept_restricted_batches_equal_the_streamed_sum(route_circuits, monkeypatch):
+    """C(16, d) <= MINOR_BATCH for d = 0, 2, 4: the sum's index sets and
+    dressed values are kept on the first query.  C(16, 6) = 8008 sets
+    stream in batches and are not kept."""
+    n = 8
+    rng = np.random.default_rng(20)
+    circuits = route_circuits(n, 3)
+    queries = {
+        cls: [_degree_query(circuits[cls], d, rng) for d in (0, 2, 4, 6)]
+        for cls in (tableau.CliffordClass.GENERAL, tableau.CliffordClass.SWAP_ONLY)
+    }
+    kept = {}
+    for cls, ps in queries.items():
+        kept[cls] = [restricted_pauli_expectation(circuits[cls], p, d_max=6) for p in ps]
+        assert set(compile_circuit(circuits[cls]).minor_batches) == {0, 2, 4}
+        assert [len(compile_circuit(circuits[cls]).minor_batches[d][0]) for d in (0, 2, 4)] == [1, 120, 1820]
+    compile_circuit.cache_clear()
+    monkeypatch.setattr(simulator, "MINOR_BATCH", 100)
+    for cls, ps in queries.items():
+        streamed = [restricted_pauli_expectation(circuits[cls], p, d_max=6) for p in ps]
+        assert compile_circuit(circuits[cls]).minor_batches.keys() <= {0}
+        assert np.max(np.abs(np.subtract(streamed, kept[cls]))) <= 1e-12
+    assert kept[tableau.CliffordClass.GENERAL][0] == pytest.approx(1.0)
+
+
+def test_kept_restricted_batches_match_the_oracle(route_circuits):
+    n = 6
+    rng = np.random.default_rng(21)
+    for cls, c in route_circuits(n, 4).items():
+        if cls == "post_clifford":
+            continue
+        ref = oracle.apply_circuit(c)
+        for d in (1, 2, 3, 4):
+            p = _degree_query(c, d, rng)
+            for _ in range(2):  # the second reads the kept batch
+                got = restricted_pauli_expectation(c, p)
+                assert got == pytest.approx(oracle.expectation(ref, p).real, abs=1e-9)
+
+
+def test_post_clifford_queries_after_the_first_build_no_pauli_strings(route_circuits, monkeypatch):
+    """After a circuit's first query, a post-Clifford expectation is one
+    row map and one Pfaffian: no PauliString is built, and neither
+    conjugate_pauli nor chain_decompose runs."""
+    from matchcliff import encodings, pauli
+
+    n = 8
+    rng = np.random.default_rng(22)
+    c = route_circuits(n, 5)["post_clifford"]
+    ref = oracle.apply_circuit(c)
+    queries = [random_pauli_string(rng, n) for _ in range(20)]
+    run_expectation(c, queries[0])
+    calls = {"PauliString": 0, "conjugate_pauli": 0, "chain_decompose": 0}
+    post_init = pauli.PauliString.__post_init__
+    conjugate = tableau.CliffordTableau.conjugate_pauli
+
+    def counted_init(self):
+        calls["PauliString"] += 1
+        post_init(self)
+
+    def counted_conjugate(self, p):
+        calls["conjugate_pauli"] += 1
+        return conjugate(self, p)
+
+    def refused_decompose(p):
+        calls["chain_decompose"] += 1
+        raise AssertionError("chain_decompose on the row path")
+
+    monkeypatch.setattr(pauli.PauliString, "__post_init__", counted_init)
+    monkeypatch.setattr(tableau.CliffordTableau, "conjugate_pauli", counted_conjugate)
+    monkeypatch.setattr(encodings, "chain_decompose", refused_decompose)
+    monkeypatch.setattr(gaussian, "chain_decompose", refused_decompose)
+    got = [run_expectation(c, p) for p in queries]
+    assert calls == dict.fromkeys(calls, 0)
+    want = [oracle.expectation(ref, p).real for p in queries]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-9
+    # the counters are live
+    PauliString.identity(n)
+    assert calls["PauliString"] == 1
+
+
+@pytest.mark.parametrize("route", ["free", "post_clifford", "restricted"])
+def test_refusals_keep_their_type_and_message_on_every_route(route_circuits, route):
+    """A non-Hermitian string and a string of the wrong length are refused
+    by each route's own check, before the row map reads them."""
+    n = 4
+    circuits = route_circuits(n, 6)
+    c = {
+        "free": Circuit(n, circuits["post_clifford"].input, circuits["post_clifford"].body_layers(), "free"),
+        "post_clifford": circuits["post_clifford"],
+        "restricted": circuits[tableau.CliffordClass.GENERAL],
+    }[route]
+    length = "length mismatch" if route == "free" else "length mismatch: 3 != 4"
+    for _ in range(2):  # before and after the circuit's maps are built
+        with pytest.raises(ValueError, match="^expectation of a non-Hermitian string$"):
+            run_expectation(c, PauliString.from_string("iZIII"))
+        with pytest.raises(ValueError, match=f"^{length}$"):
+            run_expectation(c, PauliString.from_string("ZII"))
+        run_expectation(c, PauliString.from_string("ZIII"))
