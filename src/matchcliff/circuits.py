@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tableau
-from .linalg import TOL
+from .linalg import TOL, antisymmetry_defect
 from .tableau import CliffordTableau
 
 STRUCTURES = ("conjugated", "post_clifford", "free")
@@ -236,7 +236,7 @@ def _check_layer(lay, n: int):
         h = lay.h_matrix()
         if h.shape != (2 * n, 2 * n):
             raise CircuitParseError("quadratic layer needs a 2n x 2n matrix")
-        if not np.max(np.abs(h + h.T)) <= TOL.antisymmetry:
+        if not antisymmetry_defect(h) <= TOL.antisymmetry:  # a NaN entry fails it too
             raise CircuitParseError("quadratic layer matrix must be antisymmetric")
     else:
         raise CircuitParseError(f"unknown layer {lay!r}")

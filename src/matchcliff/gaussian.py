@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .encodings import (
-    MajoranaMap,
-    chain_decompose,
-    decompose_pauli,  # unused here; bench/tracing.py wraps this binding
-)
+from .encodings import MajoranaMap
 from .linalg import TOL
 from .pauli import PauliString
 
@@ -86,30 +82,6 @@ class CovarianceMatrix:
     def purity_defect(self) -> float:
         m = self.gamma.shape[0]
         return float(np.max(np.abs(self.gamma @ self.gamma.T - np.eye(m))))
-
-
-def pauli_terms_to_h(terms, n: int) -> np.ndarray:
-    """Antisymmetric 2n x 2n h with sum_k coef_k p_k = i sum_jk h_jk c_j c_k.
-
-    Every term must be an n-qubit string that decomposes into exactly
-    two chain-form Majoranas.
-    """
-    h = np.zeros((2 * n, 2 * n))
-    for coef, p in terms:
-        if p.n != n:
-            raise ValueError(f"term {p} does not act on {n} qubits")
-        indices, phase = chain_decompose(p)
-        if len(indices) != 2:
-            raise ValueError(f"term {p} is not quadratic in the chain form")
-        if not np.isfinite(coef):
-            raise ValueError(f"non-finite coefficient {coef} on {p}")
-        a, b = indices
-        val = -1j * coef * phase / 2.0
-        if not abs(val.imag) <= TOL.coefficient_imag:
-            raise InternalConsistencyError("non-real quadratic coefficient")
-        h[a, b] += val.real
-        h[b, a] -= val.real
-    return h
 
 
 def evolve(c: CovarianceMatrix, rotations) -> CovarianceMatrix:

@@ -19,7 +19,6 @@ class Tolerances:
     probability: float = 1e-8
     expectation_imag: float = 1e-9
     covariance_entry: float = 1e-9  # |gamma_jk| <= 1 + this
-    coefficient_imag: float = 1e-12  # quadratic Hamiltonian coefficients
     restricted_imag: float = 1e-8  # Heisenberg-sum expectations
 
 

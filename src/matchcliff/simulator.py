@@ -29,7 +29,7 @@ from .circuits import (
     ProductInput,
     QuadraticLayer,
 )
-from .encodings import MajoranaMap, chain_majorana, chain_monomials, embed_l12
+from .encodings import MajoranaMap, chain_monomials
 from .gaussian import CovarianceMatrix, MarginalQuery
 from .pauli import _X, _Y, _Z, PauliString
 from .tableau import CliffordClass, CliffordTableau
@@ -125,22 +125,6 @@ def _grants(c: Circuit, cls: CliffordClass | None) -> SimClass:
     return SimClass(row.flags - {PIpO}, {**row.refusals, PIpO: _NO_LINEAR})
 
 
-def matchgate_terms(n: int, k: int, coeffs) -> list:
-    """(coef, PauliString) terms of the two-qubit generator on (k, k+1)."""
-    a0, a1, b1, b2, d1, d2 = coeffs
-    X = lambda q: PauliString.single(n, q, "X")
-    Y = lambda q: PauliString.single(n, q, "Y")
-    Z = lambda q: PauliString.single(n, q, "Z")
-    return [
-        (a0, Y(k) * Y(k + 1)),
-        (a1, X(k) * X(k + 1)),
-        (b1, Y(k) * X(k + 1)),
-        (b2, X(k) * Y(k + 1)),
-        (d1, Z(k)),
-        (d2, Z(k + 1)),
-    ]
-
-
 def _generator_map() -> np.ndarray:
     """(6, 16) matrix taking coefficients (a0, a1, b1, b2, d1, d2) to the
     flattened 4x4 matchgate generator."""
@@ -163,35 +147,32 @@ _GENERATOR_MAP = _generator_map()
 
 
 def matchgate_generator(coeffs) -> np.ndarray:
-    """4x4 antisymmetric generator of a matchgate on (k, k+1), for
-    coefficient rows (..., 6) in the order (a0, a1, b1, b2, d1, d2): the
-    block of pauli_terms_to_h(matchgate_terms(...)) on the logical
-    Majoranas 2k..2k+3, which are 2k+2..2k+5 of the covariance, zero
-    everywhere else.  The block is the same for every k.  Returns an
-    array of shape (..., 4, 4)."""
+    """4x4 antisymmetric generator h of a matchgate on (k, k+1), for
+    coefficient rows (..., 6) in the order (a0, a1, b1, b2, d1, d2): with
+    H = a0 YY + a1 XX + b1 YX + b2 XY + d1 Z(k) + d2 Z(k+1) written as
+    i sum_jk h_jk c_j c_k, h is zero outside the logical Majoranas
+    2k..2k+3, which are 2k+2..2k+5 of the covariance, and this block there.
+    The block is the same for every k.  Returns an array of shape
+    (..., 4, 4)."""
     coeffs = np.asarray(coeffs, dtype=float)
     return (coeffs @ _GENERATOR_MAP).reshape(coeffs.shape[:-1] + (4, 4))
 
 
-def layer_terms(lay, n: int) -> list:
-    """Hamiltonian terms of one non-Clifford layer, on the logical qubits."""
-    if isinstance(lay, MatchgateLayer):
-        return matchgate_terms(n, lay.qubit, lay.coeffs)
+def layer_generator(lay, n: int) -> np.ndarray:
+    """(2n+2) x (2n+2) generator h of a linear or quadratic layer, whose
+    rotation on the covariance's Majoranas is exp(4 h).  A linear layer
+    sum_j b_j c_j is quadratic through the ancilla pair (Jozsa-Miyake):
+    its only nonzero row and column are Majorana 1's."""
+    h = np.zeros((2 * n + 2, 2 * n + 2))
     if isinstance(lay, LinearLayer):
-        return [(b, chain_majorana(n, j)) for j, b in enumerate(lay.b) if b != 0.0]
-    raise TypeError(f"no term form for {lay!r}")
-
-
-def layer_rotation(lay, n: int) -> np.ndarray:
-    """Dense rotation of exp(-i H_layer) on the 2n+2 Majoranas of the
-    covariance."""
-    if isinstance(lay, QuadraticLayer):
-        h = np.zeros((2 * n + 2, 2 * n + 2))
+        b = np.array(lay.b, dtype=float)
+        h[1, 2:] = -b / 2
+        h[2:, 1] = b / 2
+    elif isinstance(lay, QuadraticLayer):
         h[2:, 2:] = lay.h_matrix()
     else:
-        terms = [(c, embed_l12(p)) for c, p in layer_terms(lay, n)]
-        h = gaussian.pauli_terms_to_h(terms, n + 1)
-    return linalg.expm_antisymmetric(h)
+        raise TypeError(f"no dense generator for {lay!r}")
+    return h
 
 
 @dataclass(frozen=True)
@@ -307,8 +288,8 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
     elif c.structure == "post_clifford":
         extra["post_inverse"] = tableau.invert(c.post_tableau())
     # a matchgate rotates only its four Majoranas, and the body's matchgates
-    # are exponentiated in one stacked call; other layers keep the dense
-    # rotation
+    # are exponentiated in one stacked call; a linear or quadratic layer
+    # rotates every Majorana
     layers = c.body_layers()
     coeffs = [lay.coeffs for lay in layers if isinstance(lay, MatchgateLayer)]
     local = iter(
@@ -319,7 +300,7 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
     rotations = tuple(
         (2 * lay.qubit + 2, next(local))
         if isinstance(lay, MatchgateLayer)
-        else (0, layer_rotation(lay, c.n))
+        else (0, linalg.expm_antisymmetric(layer_generator(lay, c.n)))
         for lay in layers
     )
     return CompiledCircuit(c, _grants(c, cls), rotations, **extra)

@@ -53,7 +53,10 @@ class CliffordTableau:
         object.__setattr__(self, "phases", e)
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def identity(n: int) -> "CliffordTableau":
+        """The identity on n qubits, one shared instance per n, so that its
+        cached order_form is built once."""
         return CliffordTableau(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
 
     def __eq__(self, other) -> bool:

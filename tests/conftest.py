@@ -35,6 +35,20 @@ def random_matchgate_layers(rng, n, count, scale=0.6):
     ]
 
 
+def dense_matchgate_rotation(lay, n):
+    """(2n+2) x (2n+2) rotation of a matchgate layer: its 4x4 generator
+    embedded at Majorana 2k+2, exponentiated at full order, where
+    expm_antisymmetric takes scipy.linalg.expm rather than the so(4)
+    closed form that compile uses."""
+    from matchcliff.linalg import expm_antisymmetric
+    from matchcliff.simulator import matchgate_generator
+
+    offset = 2 * lay.qubit + 2
+    h = np.zeros((2 * n + 2, 2 * n + 2))
+    h[offset : offset + 4, offset : offset + 4] = matchgate_generator(lay.coeffs)
+    return expm_antisymmetric(h)
+
+
 def random_linear_layer(rng, n, scale=0.4):
     return LinearLayer(tuple(rng.normal(size=2 * n) * scale))
 

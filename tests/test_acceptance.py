@@ -392,16 +392,14 @@ def test_11_kernel_properties():
         worst_orth = max(worst_orth, np.max(np.abs(r @ r.T - np.eye(n))))
     assert worst_orth <= 1e-10
 
-    from matchcliff.gaussian import pauli_terms_to_h
-    from matchcliff.simulator import matchgate_terms
+    from matchcliff.simulator import matchgate_generator
 
     jw = jordan_wigner(2)
     worst_heis = 0.0
     for _ in range(5):
         coeffs = tuple(rng.normal(size=6) * 0.6)
-        terms = matchgate_terms(2, 0, coeffs)
-        r = expm_antisymmetric(pauli_terms_to_h(terms, 2))
-        u = oracle.unitary_from_hamiltonian(terms, 2)
+        r = expm_antisymmetric(matchgate_generator(coeffs))
+        u = oracle._matchgate_unitary(coeffs)
         for i in range(4):
             lhs = u.conj().T @ jw.majoranas[i].dense() @ u
             rhs = sum(r[i, j] * jw.majoranas[j].dense() for j in range(4))

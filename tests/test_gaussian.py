@@ -13,7 +13,6 @@ from matchcliff.gaussian import (
     evolve,
     marginal_probability,
     pauli_expectation,
-    pauli_terms_to_h,
     product_state_covariance,
 )
 from matchcliff.circuits import BasisInput, ProductInput
@@ -106,35 +105,6 @@ def test_product_state_covariance_matches_oracle():
             want = oracle.expectation(st, z).real
             got = pauli_expectation(cov, z)
             assert abs(got - want) <= 1e-10
-
-
-def test_pauli_terms_to_h_roundtrip():
-    n = 2
-    jw = jordan_wigner(n)
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(2 * n, 2 * n))
-    h = h - h.T
-    terms = [
-        (h[i, j], (jw.majoranas[i] * jw.majoranas[j]).times_i())
-        for i in range(2 * n)
-        for j in range(2 * n)
-        if i < j
-    ]
-    h2 = pauli_terms_to_h(terms, n)
-    # the returned matrix enters the full double sum i sum_ij h2_ij c_i c_j
-    want = sum(
-        1j * h[i, j] * jw.majoranas[i].dense() @ jw.majoranas[j].dense()
-        for i in range(2 * n)
-        for j in range(2 * n)
-        if i < j
-    )
-    got = sum(
-        1j * h2[i, j] * jw.majoranas[i].dense() @ jw.majoranas[j].dense()
-        for i in range(2 * n)
-        for j in range(2 * n)
-        if h2[i, j] != 0.0
-    )
-    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_marginal_distribution_normalizes():

@@ -1,3 +1,5 @@
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -26,7 +28,6 @@ from matchcliff.simulator import (
     ghz4_gadget,
     is_valid_gate_pair,
     compile_circuit,
-    layer_rotation,
     restricted_pauli_expectation,
     run_expectation,
     run_marginal,
@@ -34,6 +35,7 @@ from matchcliff.simulator import (
 
 from conftest import (
     conjugated_circuit,
+    dense_matchgate_rotation,
     invert_clifford_gates,
     random_basis_input,
     random_clifford_gates,
@@ -367,7 +369,7 @@ def test_compiled_clifford_data_matches_a_rebuild():
         cc = compile_circuit(c)
         s = np.eye(2 * n + 2)
         for lay in c.body_layers():
-            s = layer_rotation(lay, n) @ s
+            s = dense_matchgate_rotation(lay, n) @ s
         assert np.max(np.abs(cc.body_product - s[2:, 2:])) <= 1e-12
         conj = c.conjugation_tableau()
         # the restricted route dresses by the trailing block as C^-1
@@ -406,7 +408,7 @@ def test_matchgate_block_equals_dense_layer_rotation(n, data, coeffs, kind):
     assert offset == 2 * k + 2
     full = np.eye(2 * n + 2)
     full[offset : offset + 4, offset : offset + 4] = r
-    assert np.max(np.abs(full - layer_rotation(lay, n))) <= 1e-12
+    assert np.max(np.abs(full - dense_matchgate_rotation(lay, n))) <= 1e-12
     assert cc.readout.cov.gamma.shape == (2 * n + 2, 2 * n + 2)
 
 
@@ -465,14 +467,71 @@ def test_compile_exponentiates_a_body_in_one_stacked_call(monkeypatch):
     assert (offset, r.shape) == (0, (2 * n + 2, 2 * n + 2))
 
 
+def test_compile_builds_no_pauli_string(monkeypatch):
+    """Every body layer compiles from its generator, written down: a body
+    of matchgates, a linear layer and a quadratic layer builds no
+    PauliString."""
+    from matchcliff import pauli
+
+    rng = np.random.default_rng(23)
+    n = 5
+    body = (
+        random_matchgate_layers(rng, n, 3)
+        + [random_linear_layer(rng, n), random_quadratic_layer(rng, n)]
+        + random_matchgate_layers(rng, n, 3)
+    )
+    c = Circuit(n, random_product_input(rng, n), tuple(body), "free")
+    built = []
+    post_init = pauli.PauliString.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(pauli.PauliString, "__post_init__", counted_init)
+    cc = compile_circuit(c)
+    assert built == []
+    assert [r.shape for _, r in cc.rotations] == [(4, 4)] * 3 + [(2 * n + 2,) * 2] * 2 + [(4, 4)] * 3
+    # the counter is live
+    PauliString.identity(n)
+    assert len(built) == 1
+
+
+def test_free_restricted_query_builds_the_identity_order_form_once(monkeypatch):
+    """A free circuit dresses every batch of its restricted sum through the
+    identity tableau, which is shared per n, so its order form is built
+    once however many batches the sum takes."""
+    rng = np.random.default_rng(25)
+    n = 8
+    c = Circuit(n, random_product_input(rng, n), tuple(random_matchgate_layers(rng, n, 2 * n)), "free")
+    monkeypatch.setattr(simulator, "MINOR_BATCH", 32)
+    assert math.comb(2 * n, 2) > 3 * simulator.MINOR_BATCH
+    built = []
+    order_form = tableau.CliffordTableau.__dict__["order_form"].func
+
+    def counted(self):
+        built.append(self.n)
+        return order_form(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(tableau.CliffordTableau, "order_form")
+    monkeypatch.setattr(tableau.CliffordTableau, "order_form", prop)
+    tableau.CliffordTableau.identity.cache_clear()
+    p = PauliString.single(n, 3, "Z")
+    got = restricted_pauli_expectation(c, p, d_max=2)
+    assert built == [n]
+    assert got == pytest.approx(oracle.expectation(oracle.apply_circuit(c), p).real, abs=1e-9)
+    assert tableau.CliffordTableau.identity(n) is c.post_tableau() is c.conjugation_tableau()
+
+
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("kind", ["standard", "extended"])
 def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, kind):
     """20n matchgates: the compiled 4x4 blocks evolve the covariance as the
-    product of dense layer_rotation matrices does.  The gates are drawn from
-    a pool of 2n random matchgates, so that the dense reference computes
-    only 2n exponentials of order 2n + 2.  `kind` is the input: standard
-    (a computational-basis state) or extended (a product state)."""
+    product of dense_matchgate_rotation matrices does.  The gates are drawn
+    from a pool of 2n random matchgates, so that the dense reference
+    computes only 2n exponentials of order 2n + 2.  `kind` is the input:
+    standard (a computational-basis state) or extended (a product state)."""
     rng = np.random.default_rng([17, n])
     inp = random_basis_input(rng, n) if kind == "standard" else random_product_input(rng, n)
     pool = random_matchgate_layers(rng, n, 2 * n)
@@ -480,7 +539,7 @@ def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, kin
     cc = compile_circuit(Circuit(n, inp, body, "free"))
     cov = cc.readout.cov.gamma
     assert cov.shape == (2 * n + 2, 2 * n + 2)
-    dense = {id(lay): layer_rotation(lay, n) for lay in pool}
+    dense = {id(lay): dense_matchgate_rotation(lay, n) for lay in pool}
     s = np.eye(cov.shape[0])
     for lay in body:
         s = dense[id(lay)] @ s
@@ -972,7 +1031,6 @@ def test_post_clifford_queries_after_the_first_build_no_pauli_strings(route_circ
     monkeypatch.setattr(pauli.PauliString, "__post_init__", counted_init)
     monkeypatch.setattr(tableau.CliffordTableau, "conjugate_pauli", counted_conjugate)
     monkeypatch.setattr(encodings, "chain_decompose", refused_decompose)
-    monkeypatch.setattr(gaussian, "chain_decompose", refused_decompose)
     got = [run_expectation(c, p) for p in queries]
     assert calls == dict.fromkeys(calls, 0)
     want = [oracle.expectation(ref, p).real for p in queries]

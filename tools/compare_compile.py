@@ -1,0 +1,207 @@
+"""Compare the compiled rotations, answers and refusals of two source trees.
+
+Seeded, so two runs on the same tree print the same record.  Run it once
+with each tree's `src` on PYTHONPATH, then compare the two records:
+
+    PYTHONPATH=<old>/src python tools/compare_compile.py dump old.pkl
+    PYTHONPATH=src python tools/compare_compile.py dump new.pkl
+    python tools/compare_compile.py diff old.pkl new.pkl
+
+The record holds
+  - the compiled rotation of one linear and one quadratic layer at
+    n = 8, 64 and 256, compared bit for bit;
+  - every answer, or the refusal's type and message, of random free,
+    post-Clifford and conjugated circuits with linear and quadratic
+    layers at n = 2..12, compared to 1e-12;
+  - the refusal's type and message of bodies whose generator is too
+    large or not finite, and the CLI's exit code and error line on each.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pickle
+import sys
+import tempfile
+
+import numpy as np
+
+SEED = 2108
+ROTATION_SIZES = (8, 64, 256)
+CIRCUIT_SIZES = range(2, 13)
+CIRCUITS_PER_SIZE = 6
+QUERIES_PER_CIRCUIT = 6
+
+
+def _circuits():
+    from matchcliff.circuits import (
+        BasisInput,
+        CliffordLayer,
+        LinearLayer,
+        MatchgateLayer,
+        ProductInput,
+        QuadraticLayer,
+    )
+
+    def inputs(rng, n):
+        if rng.integers(2):
+            return BasisInput(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+        return ProductInput(tuple(map(tuple, rng.normal(size=(n, 2)))))
+
+    def body(rng, n):
+        layers = [
+            MatchgateLayer(int(rng.integers(n - 1)), tuple(rng.normal(size=6) * 0.6))
+            for _ in range(n)
+        ]
+        h = rng.normal(size=(2 * n, 2 * n)) * 0.3
+        layers.insert(int(rng.integers(len(layers) + 1)), QuadraticLayer(tuple(map(tuple, h - h.T))))
+        if rng.integers(2):
+            b = tuple(rng.normal(size=2 * n) * 0.4)
+            layers.insert(int(rng.integers(len(layers) + 1)), LinearLayer(b))
+        return layers
+
+    def cliffords(rng, n, count):
+        out = []
+        for _ in range(count):
+            name = ("H", "S", "CNOT", "CZ", "SWAP")[rng.integers(5)]
+            if name in ("H", "S"):
+                out.append(CliffordLayer(name, (int(rng.integers(n)),)))
+            else:
+                a, b = rng.choice(n, size=2, replace=False)
+                out.append(CliffordLayer(name, (int(a), int(b))))
+        return out
+
+    def inverse(gates):
+        out = []
+        for g in reversed(gates):
+            out.extend([g, g, g] if g.gate == "S" else [g])
+        return out
+
+    rng = np.random.default_rng(SEED)
+    for n in CIRCUIT_SIZES:
+        for _ in range(CIRCUITS_PER_SIZE):
+            inp, lay = inputs(rng, n), body(rng, n)
+            yield n, inp, tuple(lay), "free"
+            yield n, inputs(rng, n), tuple(body(rng, n) + cliffords(rng, n, 2 * n)), "post_clifford"
+            names = (None, ("SWAP",), ("SWAP", "CZ"), ("SWAP", "CZ", "CNOT"))[rng.integers(4)]
+            lead = cliffords(rng, n, n)
+            if names is not None:
+                lead = [g for g in lead if g.gate in names] or [CliffordLayer("SWAP", (0, 1))]
+            yield n, inputs(rng, n), tuple(lead + body(rng, n) + inverse(lead)), "conjugated"
+
+
+def _outcome(fn):
+    """("value", x) or ("refused", type name, message)."""
+    try:
+        return ("value", fn())
+    except (ValueError, IndexError, AssertionError) as exc:
+        return ("refused", type(exc).__name__, str(exc))
+
+
+def _refusal_bodies(n):
+    from matchcliff.circuits import LinearLayer, MatchgateLayer, QuadraticLayer
+
+    big = np.zeros((2 * n, 2 * n))
+    big[0, 1], big[1, 0] = 1e12, -1e12
+    return {
+        "linear 1e12": (LinearLayer((1e12,) + (0.0,) * (2 * n - 1)),),
+        "linear nan": (LinearLayer((float("nan"),) + (0.1,) * (2 * n - 1)),),
+        "linear inf": (LinearLayer((0.1, float("inf")) + (0.0,) * (2 * n - 2)),),
+        "quadratic 1e12": (QuadraticLayer(tuple(map(tuple, big))),),
+        "matchgate 1e5": (MatchgateLayer(0, (0.0, 1e5, 0.0, 0.0, 0.0, 0.0)),),
+    }
+
+
+def _cli(c, argv):
+    from matchcliff import circuits, cli
+
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
+        json.dump(circuits.to_json_doc(c), fh)
+        fh.flush()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([argv[0], fh.name, *argv[1:]])
+    return code, err.getvalue()
+
+
+def dump(path):
+    from matchcliff import simulator
+    from matchcliff.circuits import BasisInput, Circuit, LinearLayer, QuadraticLayer
+    from matchcliff.gaussian import MarginalQuery
+    from matchcliff.pauli import PauliString
+
+    record = {"rotations": {}, "answers": [], "refusals": {}}
+    rng = np.random.default_rng(SEED)
+    for n in ROTATION_SIZES:
+        h = rng.normal(size=(2 * n, 2 * n)) * (0.3 / np.sqrt(n))
+        for kind, lay in (
+            ("linear", LinearLayer(tuple(rng.normal(size=2 * n) * 0.4))),
+            ("quadratic", QuadraticLayer(tuple(map(tuple, h - h.T)))),
+        ):
+            cc = simulator.compile_circuit(Circuit(n, BasisInput((0,) * n), (lay,), "free"))
+            ((offset, r),) = cc.rotations
+            record["rotations"][kind, n] = (offset, r)
+    for n, inp, layers, structure in _circuits():
+        c = Circuit(n, inp, layers, structure)
+        for _ in range(QUERIES_PER_CIRCUIT):
+            p = PauliString.from_string("".join("IXYZ"[k] for k in rng.integers(4, size=n)))
+            record["answers"].append(_outcome(lambda: simulator.run_expectation(c, p)))
+            k = int(rng.integers(1, n + 1))
+            qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+            q = MarginalQuery(qubits, tuple(int(b) for b in rng.integers(0, 2, size=k)))
+            record["answers"].append(_outcome(lambda: simulator.run_marginal(c, q)))
+    n = 3
+    for name, layers in _refusal_bodies(n).items():
+        c = Circuit(n, BasisInput((0,) * n), layers, "free")
+        record["refusals"][name] = (
+            _outcome(lambda: simulator.compile_circuit(c)),
+            _cli(c, ["expect", "--pauli", "ZII"]),
+            _cli(c, ["marginal", "--qubits", "0", "--bits", "0"]),
+        )
+    with open(path, "wb") as fh:
+        pickle.dump(record, fh)
+
+
+def diff(old_path, new_path) -> int:
+    with open(old_path, "rb") as fh:
+        old = pickle.load(fh)
+    with open(new_path, "rb") as fh:
+        new = pickle.load(fh)
+    bad = 0
+    for key, (offset, r) in old["rotations"].items():
+        new_offset, new_r = new["rotations"][key]
+        same = offset == new_offset and np.array_equal(r, new_r)
+        bad += not same
+        print(f"rotation {key}: max diff {np.max(np.abs(r - new_r)):.1e}, bit-equal {same}")
+    worst, refused, differ = 0.0, 0, []
+    for a, b in zip(old["answers"], new["answers"], strict=True):
+        if a[0] == b[0] == "value":
+            worst = max(worst, abs(a[1] - b[1]))
+        else:
+            refused += a[0] == "refused"
+            if a != b:
+                differ.append((a, b))
+    bad += worst > 1e-12 or bool(differ)
+    print(
+        f"answers: {len(old['answers'])}, of them {refused} refused; "
+        f"worst difference {worst:.1e}; differing outcomes {len(differ)}"
+    )
+    for a, b in differ[:10]:
+        print(f"  old {a}\n  new {b}")
+    for name, outcome in old["refusals"].items():
+        same = outcome == new["refusals"][name]
+        print(f"refusal {name!r}: same {same}")
+        if not same:
+            print(f"  old {outcome}\n  new {new['refusals'][name]}")
+            bad += 1
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["dump"] and len(sys.argv) == 3:
+        dump(sys.argv[2])
+    elif sys.argv[1:2] == ["diff"] and len(sys.argv) == 4:
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)
