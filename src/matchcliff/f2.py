@@ -28,17 +28,6 @@ def _eliminate(aug: np.ndarray, cols: int) -> list:
     return pivots
 
 
-def _solve_square(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with a @ X = rhs over GF(2), a square and invertible."""
-    m = a.shape[0]
-    aug = np.concatenate([np.asarray(a, dtype=np.uint8) & 1, rhs], axis=1)
-    pivots = _eliminate(aug, m)
-    if len(pivots) < m:
-        missing = next(c for c in range(m) if c >= len(pivots) or pivots[c] != c)
-        raise SingularF2Matrix(f"no pivot in column {missing}")
-    return aug[:, m:]
-
-
 def rank(a: np.ndarray) -> int:
     a = (np.asarray(a, dtype=np.uint8) & 1).copy()
     return len(_eliminate(a, a.shape[1]))
@@ -51,9 +40,9 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = a.shape[0]
     if a.shape[1] != m or b.shape[0] != m:
         raise ValueError("shape mismatch")
-    return _solve_square(a, b.reshape(m, 1))[:, 0]
-
-
-def invert(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.uint8)
-    return _solve_square(a, np.eye(a.shape[0], dtype=np.uint8))
+    aug = np.concatenate([a & 1, b.reshape(m, 1)], axis=1)
+    pivots = _eliminate(aug, m)
+    if len(pivots) < m:
+        missing = next(c for c in range(m) if c >= len(pivots) or pivots[c] != c)
+        raise SingularF2Matrix(f"no pivot in column {missing}")
+    return aug[:, m]

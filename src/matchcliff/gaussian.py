@@ -213,10 +213,9 @@ def majorana_pairs(n: int) -> np.ndarray:
     return pairs
 
 
-def marginal_probability(
-    c: CovarianceMatrix, q: MarginalQuery, *, pairs: np.ndarray | None = None
-) -> float:
-    """Probability of reading the given bits on the given logical qubits.
+def marginal_probability(c: CovarianceMatrix, q: MarginalQuery) -> float:
+    """Probability of reading the given bits on the given logical qubits,
+    qubit q at its Majorana pair (2q + 2, 2q + 3).
 
     Expanding the product of qubit projectors (1 + s_i Z_i)/2 by Wick's
     theorem resums into 2^{-k} (prod s_i) Pf(Gamma_S + D), with D the
@@ -234,16 +233,11 @@ def marginal_probability(
     rescanned for antisymmetry only when the covariance's own defect
     exceeds half of TOL.antisymmetry: below that, rounding the sign adds
     cannot take the submatrix's defect past the tolerance.
-
-    Qubit q reads the Majorana pair pairs[q], its own pair by default;
-    a compiled circuit's readout table folds its qubit permutation in.
     """
-    if pairs is None:
-        pairs = majorana_pairs(c.n)
     qubits = q.qubits
-    if qubits and not (min(qubits) >= 0 and max(qubits) < len(pairs)):
+    if qubits and not (min(qubits) >= 0 and max(qubits) < c.n):
         raise IndexError(f"query qubits {qubits} out of range")
-    idx = pairs.take(qubits, axis=0).ravel()
+    idx = majorana_pairs(c.n).take(qubits, axis=0).ravel()
     sub = c.gamma.take(idx, axis=0).take(idx, axis=1)
     signs = _OUTCOME_SIGNS.take(q.bits)
     # D on the flat view: (2i, 2i+1) sits at i (4k+2) + 1, (2i+1, 2i) at

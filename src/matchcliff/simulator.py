@@ -80,8 +80,8 @@ _MAGIC = "product inputs under CZ/permutation conjugation would simulate magic-s
 _NO_LINEAR = "restricted path does not cover linear layers"
 
 # The simulability hierarchy: what each structure, or each class of a
-# conjugation, grants.  A conjugated body with a linear layer also loses
-# PIpO (_grants).
+# conjugation, grants.  A body with a linear layer also loses PIpO
+# (_grants).
 GRANTS = {
     "free": SimClass(frozenset({PIBO, CIBO, CIbO, CIPO, PIPO, PIpO}), {}),
     "post_clifford": SimClass(
@@ -115,12 +115,11 @@ GRANTS = {
 
 
 def _grants(c: Circuit, cls: CliffordClass | None) -> SimClass:
-    """The row of GRANTS for c; cls, the class of its conjugation, is read
-    only for a conjugated circuit."""
-    if c.structure != "conjugated":
-        return GRANTS[c.structure]
-    row = GRANTS[cls]
-    if not c.has_linear():
+    """The row of GRANTS for c, less PIpO if its body has a linear layer;
+    cls, the class of its conjugation, is read only for a conjugated
+    circuit."""
+    row = GRANTS[cls if c.structure == "conjugated" else c.structure]
+    if PIpO not in row.flags or not c.has_linear():
         return row
     return SimClass(row.flags - {PIpO}, {**row.refusals, PIpO: _NO_LINEAR})
 
@@ -176,15 +175,6 @@ def layer_generator(lay, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Readout:
-    """What the covariance route of a compiled circuit reads: logical
-    output qubit q is the Majorana pair pairs[q] of the covariance."""
-
-    cov: CovarianceMatrix
-    pairs: np.ndarray  # (n, 2)
-
-
-@dataclass(frozen=True)
 class CompiledCircuit:
     """A circuit with everything its queries share, computed once."""
 
@@ -196,8 +186,6 @@ class CompiledCircuit:
     rotations: tuple
     post_inverse: CliffordTableau | None = None  # pulls Paulis back through post
     conj_class: CliffordClass | None = None
-    # pi with C Z_q C^dag = Z_pi(q), for the swap and CZ+swap classes
-    qubit_perm: tuple | None = None
     # (A, b) with C|x> = phase |A x + b mod 2>, for a basis-permuting C
     basis_map: tuple | None = None
 
@@ -216,29 +204,32 @@ class CompiledCircuit:
         return linalg.rotate_rows(np.eye(m + 2), self.rotations)[-m:, -m:]
 
     @functools.cached_property
-    def readout(self) -> Readout:
-        """The covariance and pair table that the covariance route reads,
-        built on its first query.  Output qubit q reads the pair of pi(q),
-        or of q without a qubit permutation, in the body covariance of the
-        input: permuted by pi for a product input under SWAPs, and
-        C|x> = |A x + b> for a basis input x under a basis-permuting C.
-        The permutation class maps each query's bits through basis_map."""
+    def readout(self) -> CovarianceMatrix:
+        """The covariance that the covariance route reads, built on its
+        first query: the body covariance of the input, permuted by pi for
+        a product input under SWAPs, and C|x> = |A x + b> for a basis
+        input x under a basis-permuting C.  Under the swap and CZ+swap
+        classes C Z_q C^dag = Z_pi(q), pi read from the X parts of A, so
+        output qubit q is pair pi(q) of that covariance; one gather moves
+        it to pair q.  Any other circuit reads evolve's covariance as it
+        is.  The permutation class maps each query's bits through
+        basis_map."""
         c = self.circuit
-        perm = self.qubit_perm
+        perm = None
+        if self.conj_class in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
+            perm = self.basis_map[0].argmax(axis=0)
         inp = c.input
         if isinstance(inp, BasisInput) and self.basis_map is not None:
             a, b = self.basis_map
             inp = BasisInput(tuple((a @ np.array(inp.bits) + b) & 1))
         elif perm is not None:
-            angles = [None] * c.n
-            for target, angle in zip(perm, inp.angles):
-                angles[target] = angle
-            inp = ProductInput(tuple(angles))
+            # qubit j's angles move to qubit pi(j)
+            inp = ProductInput(tuple(inp.angles[j] for j in np.argsort(perm)))
         cov = gaussian.evolve(gaussian.product_state_covariance(inp), self.rotations)
-        pairs = gaussian.majorana_pairs(c.n)
-        if perm is not None:
-            pairs = pairs[list(perm)]
-        return Readout(cov, pairs)
+        if perm is None:
+            return cov
+        fold = np.concatenate([[0, 1], gaussian.majorana_pairs(c.n)[perm].ravel()])
+        return CovarianceMatrix(cov.gamma[np.ix_(fold, fold)], c.n)
 
     @functools.cached_property
     def basis_masks(self) -> tuple:
@@ -281,8 +272,6 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
     if c.structure == "conjugated":
         conj = c.conjugation_tableau()
         cls = extra["conj_class"] = tableau.classify(conj)
-        if cls in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
-            extra["qubit_perm"] = tableau.qubit_permutation(conj)
         if cls != CliffordClass.GENERAL:
             extra["basis_map"] = tableau.basis_map(conj)
     elif c.structure == "post_clifford":
@@ -324,7 +313,7 @@ def run_expectation(c: Circuit, p: PauliString, d_max: int = D_MAX_DEFAULT) -> f
     cc = compile_circuit(c)
     if cc.grants.expectation_method(c.input) == "restricted":
         return restricted_pauli_expectation(c, p, d_max=d_max)
-    return gaussian.pauli_expectation(cc.readout.cov, p, cc.expectation_map)
+    return gaussian.pauli_expectation(cc.readout, p, cc.expectation_map)
 
 
 def run_marginal(c: Circuit, q: MarginalQuery) -> float:
@@ -341,7 +330,6 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
         cc.grants.require(PIBO)
     else:
         cc.grants.require(CIbO if len(q.qubits) == n else CIBO)
-    readout = cc.readout
     # under the permutation class only full-length queries are granted,
     # and their bits x pull back through the affine basis map: A x + b is
     # b XOR the columns of A at the qubits whose bit is 1
@@ -351,7 +339,7 @@ def run_marginal(c: Circuit, q: MarginalQuery) -> float:
             if bit:
                 image ^= columns[qubit]
         q = MarginalQuery(q.qubits, tuple((image >> qubit) & 1 for qubit in q.qubits))
-    return gaussian.marginal_probability(readout.cov, q, pairs=readout.pairs)
+    return gaussian.marginal_probability(cc.readout, q)
 
 
 def _input_table(inp) -> np.ndarray:
@@ -420,8 +408,6 @@ def restricted_pauli_expectation(
         raise ValueError("expectation of a non-Hermitian string")
     cc = compile_circuit(c)
     cc.grants.require(PIpO)
-    if c.has_linear():  # a free body, whose linear layers the covariance route reads
-        raise UnsupportedQuery(_NO_LINEAR)
     indices, phase = cc.restricted_map(p)
     d = len(indices)
     if d > d_max:

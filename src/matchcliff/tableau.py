@@ -217,11 +217,6 @@ def classify(t: CliffordTableau) -> CliffordClass:
     return CliffordClass.PERMUTATION
 
 
-def qubit_permutation(t: CliffordTableau) -> tuple:
-    """pi with t Z_q t^dag = Z_pi(q), valid for the swap/CZ-swap classes."""
-    return tuple(int(q) for q in t.matrix[t.n :, t.n :].argmax(axis=1))
-
-
 def basis_map(t: CliffordTableau) -> tuple:
     """(A, b) with t|x> = phase |A x + b mod 2>, for a basis-permuting t.
 

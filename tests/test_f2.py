@@ -15,16 +15,6 @@ def random_invertible(rng, n):
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40, deadline=None)
-def test_invert_roundtrip(n, seed):
-    rng = np.random.default_rng(seed)
-    a = random_invertible(rng, n)
-    inv = f2.invert(a)
-    assert np.array_equal((a @ inv) % 2, np.eye(n, dtype=np.uint8))
-    assert np.array_equal((inv @ a) % 2, np.eye(n, dtype=np.uint8))
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=40, deadline=None)
 def test_solve_recovers_solution(n, seed):
     rng = np.random.default_rng(seed)
     a = random_invertible(rng, n)
@@ -35,8 +25,6 @@ def test_solve_recovers_solution(n, seed):
 
 def test_singular_matrix_raises():
     a = np.zeros((3, 3), dtype=np.uint8)
-    with pytest.raises(f2.SingularF2Matrix):
-        f2.invert(a)
     with pytest.raises(f2.SingularF2Matrix):
         f2.solve(a, np.array([1, 0, 0], dtype=np.uint8))
 

@@ -294,18 +294,19 @@ def test_marginal_query_refuses_bits_other_than_0_and_1():
 
 
 def test_marginal_kernel_reads_the_given_pair_table():
-    """pairs[q] names the Majorana pair that qubit q reads."""
+    """Qubit q reads row q of majorana_pairs, the pair (2q + 2, 2q + 3):
+    <Z_q> = gamma[2q + 2, 2q + 3], so p(q = b) = (1 + (-1)^b gamma) / 2."""
     rng = np.random.default_rng(6)
     n = 4
     h = rng.normal(size=(2 * n, 2 * n))
     cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), [(2, expm_antisymmetric(h - h.T))])
-    perm = (2, 0, 3, 1)
-    pairs = gaussian.majorana_pairs(n)[list(perm)]
-    assert pairs.tolist() == [[6, 7], [2, 3], [8, 9], [4, 5]]
-    for bits in ((1, 0), (0, 1)):
-        got = marginal_probability(cov, MarginalQuery((0, 3), bits), pairs=pairs)
-        want = marginal_probability(cov, MarginalQuery((2, 1), bits))
-        assert got == pytest.approx(want, abs=1e-14)
+    pairs = gaussian.majorana_pairs(n)
+    assert pairs.tolist() == [[2, 3], [4, 5], [6, 7], [8, 9]]
+    for q, (a, b) in enumerate(pairs):
+        for bit in (0, 1):
+            got = marginal_probability(cov, MarginalQuery((q,), (bit,)))
+            want = (1 + (1 - 2 * bit) * cov.gamma[a, b]) / 2
+            assert got == pytest.approx(want, abs=1e-14)
     ext = gaussian.majorana_pairs(3)
     assert ext.tolist() == [[2, 3], [4, 5], [6, 7]]
     assert not ext.flags.writeable

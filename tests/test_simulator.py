@@ -350,7 +350,7 @@ def test_marginal_chain_rule_at_n256():
     c = Circuit(
         n, random_basis_input(rng, n), (QuadraticLayer(tuple(map(tuple, h - h.T))),), "free"
     )
-    gamma = compile_circuit(c).readout.cov.gamma
+    gamma = compile_circuit(c).readout.gamma
     qubits = tuple(int(q) for q in rng.choice(n, size=n // 2, replace=False))
     bits = tuple(int(gamma[2 * q + 2, 2 * q + 3] < 0) for q in qubits)
     extra = next(q for q in range(n) if q not in qubits)
@@ -382,7 +382,8 @@ def test_compiled_clifford_data_matches_a_rebuild():
         swaps = conjugated_circuit(
             rng, n, inp, random_clifford_gates(rng, n, 4, names=("SWAP",))
         )
-        pi = compile_circuit(swaps).qubit_perm
+        # pi, with C Z_q C^dag = Z_pi(q), is read from the X parts of A
+        pi = compile_circuit(swaps).basis_map[0].argmax(axis=0)
         t = swaps.conjugation_tableau()
         for q in range(n):
             assert t.image_of_z(q) == PauliString.single(n, pi[q], "Z")
@@ -409,7 +410,7 @@ def test_matchgate_block_equals_dense_layer_rotation(n, data, coeffs, kind):
     full = np.eye(2 * n + 2)
     full[offset : offset + 4, offset : offset + 4] = r
     assert np.max(np.abs(full - dense_matchgate_rotation(lay, n))) <= 1e-12
-    assert cc.readout.cov.gamma.shape == (2 * n + 2, 2 * n + 2)
+    assert cc.readout.gamma.shape == (2 * n + 2, 2 * n + 2)
 
 
 def test_compiled_rotations_are_local_for_matchgates_only():
@@ -537,7 +538,7 @@ def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, kin
     pool = random_matchgate_layers(rng, n, 2 * n)
     body = tuple(pool[i] for i in rng.integers(2 * n, size=20 * n))
     cc = compile_circuit(Circuit(n, inp, body, "free"))
-    cov = cc.readout.cov.gamma
+    cov = cc.readout.gamma
     assert cov.shape == (2 * n + 2, 2 * n + 2)
     dense = {id(lay): dense_matchgate_rotation(lay, n) for lay in pool}
     s = np.eye(cov.shape[0])
@@ -839,10 +840,11 @@ def test_out_of_range_query_qubits_are_refused_before_the_grants():
         run_marginal(c, MarginalQuery((0, 2), (0, 1)))
 
 
-def _log_domain_marginal(readout, qubits, bits):
-    """sqrt|det((Gamma_S + D) / 2)| by numpy's slogdet on a fresh gather."""
-    idx = readout.pairs[list(qubits)].ravel()
-    sub = np.array(readout.cov.gamma[np.ix_(idx, idx)])
+def _log_domain_marginal(gamma, qubits, bits):
+    """sqrt|det((Gamma_S + D) / 2)| by numpy's slogdet on a fresh gather,
+    qubit q at the pair (2q + 2, 2q + 3)."""
+    idx = (2 * np.array(qubits)[:, None] + [2, 3]).ravel()
+    sub = np.array(gamma[np.ix_(idx, idx)])
     for i, b in enumerate(bits):
         s = 1.0 - 2.0 * b
         sub[2 * i, 2 * i + 1] += s
@@ -853,7 +855,7 @@ def _log_domain_marginal(readout, qubits, bits):
 @pytest.mark.parametrize("swaps", [False, True])
 def test_large_marginals_equal_the_log_determinant_at_n192(swaps):
     """A basis input and one dense quadratic layer of scale 0.15 / sqrt(n),
-    free or under SWAPs, whose readout reads a permuted pair table: each
+    free or under SWAPs, whose readout folds a qubit permutation in: each
     marginal equals sqrt|det((Gamma_S + D) / 2)| from slogdet, and
     p(S) = p(S, 0) + p(S, 1)."""
     rng = np.random.default_rng(192 + swaps)
@@ -866,22 +868,75 @@ def test_large_marginals_equal_the_log_determinant_at_n192(swaps):
         c = Circuit(n, inp, tuple(gates + body + invert_clifford_gates(gates)), "conjugated")
     else:
         c = Circuit(n, inp, tuple(body), "free")
-    readout = compile_circuit(c).readout
-    assert (readout.pairs != gaussian.majorana_pairs(n)).any() == swaps
-    gamma = readout.cov.gamma
+    cc = compile_circuit(c)
+    pi = cc.basis_map[0].argmax(axis=0) if swaps else np.arange(n)
+    assert (pi != np.arange(n)).any() == swaps
+    gamma = cc.readout.gamma
     for k in (1, 8, 72, 144, 192):
         qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
-        a, b = readout.pairs[list(qubits)].T
+        a, b = gaussian.majorana_pairs(n)[list(qubits)].T
         # mostly the likelier outcome per qubit, so p stays sizeable
         likely = (gamma[a, b] < 0).astype(int)
         bits = tuple(int(v) for v in likely ^ (rng.random(k) < 0.05))
         p = run_marginal(c, MarginalQuery(qubits, bits))
         assert p > 0.0
-        assert p == pytest.approx(_log_domain_marginal(readout, qubits, bits), rel=1e-12)
+        assert p == pytest.approx(_log_domain_marginal(gamma, qubits, bits), rel=1e-12)
         if k < n:
             extra = next(q for q in range(n) if q not in qubits)
             split = [run_marginal(c, MarginalQuery(qubits + (extra,), bits + (v,))) for v in (0, 1)]
             assert sum(split) == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("names", [("SWAP",), ("SWAP", "CZ")], ids=["swap", "cz_swap"])
+def test_readout_folds_the_qubit_permutation(names, monkeypatch):
+    """Under SWAP and CZ+SWAP conjugations C Z_q C^dag = Z_pi(q), and the
+    readout's pair q is, bit for bit, pair pi(q) of evolve on the input
+    relabelled by C; a free circuit's readout is evolve's own covariance."""
+    rng = np.random.default_rng([31, len(names)])
+    n = 5
+    evolved = []
+    evolve = gaussian.evolve
+
+    def recorded(cov, rotations):
+        evolved.append(evolve(cov, rotations))
+        return evolved[-1]
+
+    monkeypatch.setattr(gaussian, "evolve", recorded)
+    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+        free = compile_circuit(Circuit(n, inp, tuple(random_matchgate_layers(rng, n, 6)), "free"))
+        assert free.readout is evolved[-1]
+        gates = random_clifford_gates(rng, n, 2 * n, names=names)
+        c = conjugated_circuit(rng, n, inp, gates, body_count=6)
+        cc = compile_circuit(c)
+        assert cc.conj_class in (tableau.CliffordClass.SWAP_ONLY, tableau.CliffordClass.CZ_SWAP)
+        t = c.conjugation_tableau()
+        pi = [int(np.flatnonzero(t.image_of_z(q).z)[0]) for q in range(n)]
+        if isinstance(inp, BasisInput):
+            relabelled = BasisInput(tuple(int(b) for b in tableau.basis_action(t, inp.bits)[0]))
+        else:
+            relabelled = ProductInput(tuple(inp.angles[pi.index(j)] for j in range(n)))
+        want = evolve(gaussian.product_state_covariance(relabelled), cc.rotations).gamma
+        # the ancilla pair stays, and pair q takes pair pi(q)'s rows and columns
+        idx = [0, 1] + [2 * j + 2 + i for j in pi for i in (0, 1)]
+        assert cc.readout is not evolved[-1]
+        assert np.array_equal(cc.readout.gamma, want[np.ix_(idx, idx)])
+
+
+def test_free_body_with_a_linear_layer_refuses_the_restricted_route():
+    """The grant table drops PIpO for any body with a linear layer, free
+    ones included; the covariance route still answers their Paulis."""
+    rng = np.random.default_rng(32)
+    n = 4
+    body = tuple(random_matchgate_layers(rng, n, 3) + [random_linear_layer(rng, n)])
+    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+        c = Circuit(n, inp, body, "free")
+        flags = classify_circuit(c).flags
+        assert "PIpO" not in flags and {"PIPO", "CIPO"} <= flags
+        p = PauliString.from_string("XZYI")
+        with pytest.raises(UnsupportedQuery, match="linear layers"):
+            restricted_pauli_expectation(c, p)
+        want = oracle.expectation(oracle.apply_circuit(c), p).real
+        assert run_expectation(c, p) == pytest.approx(want, abs=1e-9)
 
 
 # -- queries as compiled x|z rows ---------------------------------------

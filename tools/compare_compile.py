@@ -13,6 +13,9 @@ The record holds
   - every answer, or the refusal's type and message, of random free,
     post-Clifford and conjugated circuits with linear and quadratic
     layers at n = 2..12, compared to 1e-12;
+  - the granted query kinds (classify_circuit) of each such circuit, and
+    the outcome of a direct restricted_pauli_expectation of Z on qubit 0;
+    a change of grants is listed by structure and linear layer;
   - the refusal's type and message of bodies whose generator is too
     large or not finite, and the CLI's exit code and error line on each.
 """
@@ -131,7 +134,7 @@ def dump(path):
     from matchcliff.gaussian import MarginalQuery
     from matchcliff.pauli import PauliString
 
-    record = {"rotations": {}, "answers": [], "refusals": {}}
+    record = {"rotations": {}, "answers": [], "grants": [], "refusals": {}}
     rng = np.random.default_rng(SEED)
     for n in ROTATION_SIZES:
         h = rng.normal(size=(2 * n, 2 * n)) * (0.3 / np.sqrt(n))
@@ -144,6 +147,14 @@ def dump(path):
             record["rotations"][kind, n] = (offset, r)
     for n, inp, layers, structure in _circuits():
         c = Circuit(n, inp, layers, structure)
+        z0 = PauliString.single(n, 0, "Z")
+        record["grants"].append(
+            (
+                (structure, c.has_linear()),
+                sorted(simulator.classify_circuit(c).flags),
+                _outcome(lambda: simulator.restricted_pauli_expectation(c, z0)),
+            )
+        )
         for _ in range(QUERIES_PER_CIRCUIT):
             p = PauliString.from_string("".join("IXYZ"[k] for k in rng.integers(4, size=n)))
             record["answers"].append(_outcome(lambda: simulator.run_expectation(c, p)))
@@ -163,6 +174,20 @@ def dump(path):
         pickle.dump(record, fh)
 
 
+def _compare(pairs):
+    """(worst difference of two values, old refusals, differing outcomes)
+    over pairs of outcomes."""
+    worst, refused, differ = 0.0, 0, []
+    for a, b in pairs:
+        if a[0] == b[0] == "value":
+            worst = max(worst, abs(a[1] - b[1]))
+        else:
+            refused += a[0] == "refused"
+            if a != b:
+                differ.append((a, b))
+    return worst, refused, differ
+
+
 def diff(old_path, new_path) -> int:
     with open(old_path, "rb") as fh:
         old = pickle.load(fh)
@@ -174,19 +199,30 @@ def diff(old_path, new_path) -> int:
         same = offset == new_offset and np.array_equal(r, new_r)
         bad += not same
         print(f"rotation {key}: max diff {np.max(np.abs(r - new_r)):.1e}, bit-equal {same}")
-    worst, refused, differ = 0.0, 0, []
-    for a, b in zip(old["answers"], new["answers"], strict=True):
-        if a[0] == b[0] == "value":
-            worst = max(worst, abs(a[1] - b[1]))
-        else:
-            refused += a[0] == "refused"
-            if a != b:
-                differ.append((a, b))
+    worst, refused, differ = _compare(zip(old["answers"], new["answers"], strict=True))
     bad += worst > 1e-12 or bool(differ)
     print(
         f"answers: {len(old['answers'])}, of them {refused} refused; "
         f"worst difference {worst:.1e}; differing outcomes {len(differ)}"
     )
+    for a, b in differ[:10]:
+        print(f"  old {a}\n  new {b}")
+    changes = {}
+    for (kind, flags, _), (_, new_flags, _) in zip(old["grants"], new["grants"], strict=True):
+        if flags != new_flags:
+            key = kind, tuple(sorted(set(flags) - set(new_flags))), tuple(sorted(set(new_flags) - set(flags)))
+            changes[key] = changes.get(key, 0) + 1
+    worst, refused, differ = _compare(
+        (a[2], b[2]) for a, b in zip(old["grants"], new["grants"], strict=True)
+    )
+    bad += bool(changes) or worst > 1e-12 or bool(differ)
+    print(
+        f"circuits: {len(old['grants'])}; grants changed on {sum(changes.values())}; "
+        f"restricted: {refused} refused, worst difference {worst:.1e}, "
+        f"differing outcomes {len(differ)}"
+    )
+    for ((structure, linear), gone, added), count in sorted(changes.items()):
+        print(f"  {structure} (linear layer {linear}): {count} lose {list(gone)}, gain {list(added)}")
     for a, b in differ[:10]:
         print(f"  old {a}\n  new {b}")
     for name, outcome in old["refusals"].items():
