@@ -275,6 +275,8 @@ def _layer_from_json(doc, n):
         h = np.zeros((2 * n, 2 * n))
         for ent in doc["h"]:
             i, j, v = int(ent["i"]), int(ent["j"]), float(ent["v"])
+            if not (0 <= i < 2 * n and 0 <= j < 2 * n):
+                raise CircuitParseError(f"quadratic entry ({i}, {j}) out of range for 2n = {2 * n}")
             h[i, j] = v
             h[j, i] = -v
         return QuadraticLayer(tuple(tuple(row) for row in h))

@@ -1,12 +1,13 @@
 """Command-line surface.
 
-Subcommands: expect, marginal, classify, oracle-check.  Output is
-line-oriented key=value (or one JSON object with --json).  Exit codes:
-0 success, 1 input error (including a circuit whose coefficients make
-the evolution non-finite, and an out-of-range --d-max), 2 unsupported
-query: one that the circuit's grants refuse, such as any expectation
-on a conjugated circuit with a linear layer.  The printed class and
-expect's method= are read from the grants that compile decided.
+Subcommands: expect, marginal, classify (a circuit file or --encoding),
+oracle-check.  Output is key=value lines (or one JSON object with
+--json).  main alone maps an error to its exit code and one error= line:
+1 for an input error (a malformed command line or file, a circuit whose
+evolution is not finite, an out-of-range --d-max), 2 for a query that
+the circuit's grants refuse (such as any expectation on a conjugated
+circuit with a linear layer).  The printed class and expect's method=
+are read from the grants that compile decided.
 """
 from __future__ import annotations
 
@@ -39,30 +40,18 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _load_circuit(path):
-    return circuits.load(path)
-
-
 def _class_string(c) -> str:
     return ",".join(sorted(simulator.classify_circuit(c).flags))
 
 
 def cmd_expect(args) -> int:
-    try:
-        circ = _load_circuit(args.file)
-        p = PauliString.from_string(args.pauli)
-        if p.n != circ.n:
-            raise circuits.CircuitParseError(
-                f"pauli has {p.n} letters, circuit has {circ.n} qubits"
-            )
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        val = simulator.run_expectation(circ, p, d_max=args.d_max)
-    except simulator.UnsupportedQuery as exc:
-        return _fail(str(exc), EXIT_UNSUPPORTED)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    circ = circuits.load(args.file)
+    p = PauliString.from_string(args.pauli)
+    if p.n != circ.n:
+        raise circuits.CircuitParseError(
+            f"pauli has {p.n} letters, circuit has {circ.n} qubits"
+        )
+    val = simulator.run_expectation(circ, p, d_max=args.d_max)
     _emit(
         {
             "value": val,
@@ -75,31 +64,19 @@ def cmd_expect(args) -> int:
 
 
 def cmd_marginal(args) -> int:
-    try:
-        circ = _load_circuit(args.file)
-        qubits = tuple(int(tok) for tok in args.qubits.split(",") if tok != "")
-        bits = tuple(int(ch) for ch in args.bits)
-        query = MarginalQuery(qubits, bits)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        val = simulator.run_marginal(circ, query)
-    except simulator.UnsupportedQuery as exc:
-        return _fail(str(exc), EXIT_UNSUPPORTED)
-    except (ValueError, IndexError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    circ = circuits.load(args.file)
+    qubits = tuple(int(tok) for tok in args.qubits.split(",") if tok != "")
+    bits = tuple(int(ch) for ch in args.bits)
+    val = simulator.run_marginal(circ, MarginalQuery(qubits, bits))
     _emit({"probability": val, "class": _class_string(circ)}, args.json)
     return EXIT_OK
 
 
 def _classify_encoding_fixture(path, as_json: bool) -> int:
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        majoranas = tuple(PauliString.from_string(ln) for ln in lines)
-        enc = encodings.Encoding(majoranas)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    majoranas = tuple(PauliString.from_string(ln) for ln in lines)
+    enc = encodings.Encoding(majoranas)
     violations = encodings.validate(enc)
     if violations:
         _emit({"valid": False, "violations": "; ".join(violations)}, as_json)
@@ -126,29 +103,21 @@ def _classify_encoding_fixture(path, as_json: bool) -> int:
 def cmd_classify(args) -> int:
     if args.encoding is not None:
         return _classify_encoding_fixture(args.encoding, args.json)
-    if args.file is None:
-        return _fail("need a circuit file or --encoding fixture", EXIT_INPUT)
-    try:
-        circ = _load_circuit(args.file)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    circ = circuits.load(args.file)
     _emit({"structure": circ.structure, "class": _class_string(circ)}, args.json)
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
-    try:
-        circ = _load_circuit(args.file)
-        if circ.n > oracle.SIZE_CAP:
-            raise circuits.CircuitParseError(
-                f"n = {circ.n} exceeds the dense-oracle cap {oracle.SIZE_CAP}"
-            )
-        # compile first, so that the simulator's own refusal of the circuit
-        # is reported rather than the dense state's
-        simulator.compile_circuit(circ)
-        ref = oracle.apply_circuit(circ)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    circ = circuits.load(args.file)
+    if circ.n > oracle.SIZE_CAP:
+        raise circuits.CircuitParseError(
+            f"n = {circ.n} exceeds the dense-oracle cap {oracle.SIZE_CAP}"
+        )
+    # compile first, so that the simulator's own refusal of the circuit
+    # is reported rather than the dense state's
+    simulator.compile_circuit(circ)
+    ref = oracle.apply_circuit(circ)
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
     checked = 0
@@ -186,9 +155,16 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_INPUT
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error, reported by main."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="matchcliff",
         description="Simulate Clifford-conjugated free-fermion circuits.",
     )
@@ -209,8 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_marginal)
 
     p = sub.add_parser("classify", help="simulability class / encoding family")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--encoding", help="fixture: one Pauli string per line")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?")
+    source.add_argument("--encoding", help="fixture: one Pauli string per line")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -225,8 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except simulator.UnsupportedQuery as exc:
+        return _fail(str(exc), EXIT_UNSUPPORTED)
+    except (ValueError, IndexError, OSError) as exc:
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

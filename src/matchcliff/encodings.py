@@ -156,6 +156,9 @@ def validate(e: Encoding) -> list:
             out.append(f"operator {k}: not Hermitian")
         if c.is_identity():
             out.append(f"operator {k}: identity")
+    if any(c.n != e.n for c in e.majoranas):
+        # the pair and rank checks need strings of one length
+        return out
     for a in range(m):
         for b in range(a + 1, m):
             ca, cb = e.majoranas[a], e.majoranas[b]

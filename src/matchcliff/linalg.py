@@ -38,13 +38,13 @@ def antisymmetry_defect(a: np.ndarray) -> float:
     return float(np.abs(a + transpose).max(initial=0.0))
 
 
-def check_antisymmetric(a: np.ndarray, tol: float = TOL.antisymmetry) -> np.ndarray:
+def check_antisymmetric(a: np.ndarray) -> np.ndarray:
     """a as a float array, one (m, m) matrix or an (L, m, m) stack, if
-    every matrix is antisymmetric to within tol."""
+    every matrix is antisymmetric to within TOL.antisymmetry."""
     a = np.asarray(a, dtype=float)
     dev = antisymmetry_defect(a)
-    if not dev <= tol:
-        raise NotAntisymmetric(f"max |a_ij + a_ji| = {dev:.3e} > {tol:.1e}")
+    if not dev <= TOL.antisymmetry:
+        raise NotAntisymmetric(f"max |a_ij + a_ji| = {dev:.3e} > {TOL.antisymmetry:.1e}")
     return a
 
 
@@ -241,11 +241,11 @@ def _orthogonality_defect(r: np.ndarray) -> np.ndarray:
     return np.max(np.abs(dev), axis=(-2, -1), initial=0.0)
 
 
-def check_rotation(r: np.ndarray, tol: float = TOL.orthogonality) -> np.ndarray:
+def check_rotation(r: np.ndarray) -> np.ndarray:
     """r as a float array, one (m, m) matrix or an (L, m, m) stack, if
-    every matrix is orthogonal to within tol."""
+    every matrix is orthogonal to within TOL.orthogonality."""
     r = np.asarray(r, dtype=float)
     dev = np.max(_orthogonality_defect(r), initial=0.0)
-    if not dev <= tol:
+    if not dev <= TOL.orthogonality:
         raise ValueError(f"not orthogonal: ||R R^T - I|| = {dev:.3e}")
     return r

@@ -438,13 +438,13 @@ def gate_matrix_from_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g
 
 
-def is_valid_gate_pair(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Unitary 2x2 blocks with equal determinant (the free-fermion
-    condition on two-qubit gates of this block form)."""
+def is_valid_gate_pair(a: np.ndarray, b: np.ndarray) -> bool:
+    """Unitary 2x2 blocks with equal determinant, to within 1e-9 (the
+    free-fermion condition on two-qubit gates of this block form)."""
     for m in (a, b):
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > tol:
+        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-9:
             return False
-    return abs(np.linalg.det(a) - np.linalg.det(b)) < tol
+    return abs(np.linalg.det(a) - np.linalg.det(b)) < 1e-9
 
 
 def _su2_log(a: np.ndarray) -> np.ndarray:

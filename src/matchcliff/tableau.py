@@ -248,13 +248,12 @@ def basis_action(t: CliffordTableau, bits) -> tuple:
     return q.apply_to_bits(b)
 
 
-def random_tableau(n: int, seed: int, num_gates: int | None = None) -> CliffordTableau:
-    """Seeded tableau from a random generator-gate word (not Haar uniform)."""
+def random_tableau(n: int, seed: int) -> CliffordTableau:
+    """Seeded tableau from a random word of 6n + 12 generator gates (not
+    Haar uniform)."""
     rng = np.random.default_rng(seed)
-    if num_gates is None:
-        num_gates = 6 * n + 12
     gates = []
-    for _ in range(num_gates):
+    for _ in range(6 * n + 12):
         name = GATE_NAMES[rng.integers(len(GATE_NAMES))]
         if name in ("H", "S"):
             gates.append((name, int(rng.integers(n))))

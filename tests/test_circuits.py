@@ -126,6 +126,9 @@ def test_bad_documents_raise_parse_errors():
         lambda d: d.update(n=0, input={"kind": "basis", "bits": ""}, layers=[]),
         lambda d: d["layers"].append({"kind": "mystery"}),
         lambda d: d["input"].update(kind="mystery"),
+        # an index of 2n raised IndexError; -1 wrapped silently to h[5, 0]
+        lambda d: d["layers"].append({"kind": "quadratic", "h": [{"i": 0, "j": 6, "v": 0.1}]}),
+        lambda d: d["layers"].append({"kind": "quadratic", "h": [{"i": -1, "j": 0, "v": 0.1}]}),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)

@@ -344,3 +344,83 @@ def test_refusals_keep_their_exit_code_on_every_route(capsys, tmp_path, route_ci
         assert (code, out, err.strip()) == (1, "", f"error={message}")
     code, out, _ = run_cli(capsys, "expect", str(path), "--pauli", "ZIII")
     assert code == 0 and "value=" in out
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error=")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expect", f"{FIXTURES}/free_n3.json"),
+        ("expect", f"{FIXTURES}/free_n3.json", "--pauli", "ZII", "--d-max", "x"),
+        ("simulate", f"{FIXTURES}/free_n3.json"),
+        ("classify",),
+        ("classify", f"{FIXTURES}/ghz4.json", "--encoding", f"{FIXTURES}/cz_chain_n5.txt"),
+    ],
+)
+def test_malformed_command_lines_are_input_errors(capsys, argv):
+    """argparse printed a usage line and exited 2, the refused-query code;
+    classify with both a file and --encoding ignored the file."""
+    assert_one_error_line(*run_cli(capsys, *argv))
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "oracle-check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("i, j", [(0, 9), (-1, 0)])
+def test_quadratic_entry_out_of_range_is_input_error(capsys, tmp_path, i, j):
+    """j = 9 at n = 2 ended in an IndexError traceback; i = -1 was read as
+    h[3, 0] and answered with exit 0."""
+    doc = {
+        "n": 2,
+        "input": {"kind": "basis", "bits": "00"},
+        "layers": [{"kind": "quadratic", "h": [{"i": i, "j": j, "v": 0.1}]}],
+    }
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("expect", "--pauli", "ZZ"), ("marginal", "--qubits", "0", "--bits", "0")):
+        assert_one_error_line(*run_cli(capsys, argv[0], str(path), *argv[1:]))
+
+
+def test_mixed_length_encoding_fixture_lists_the_violation(capsys, tmp_path):
+    """validate ended in a PauliLengthMismatch traceback."""
+    path = tmp_path / "mixed.txt"
+    path.write_text("XI\nYI\nZX\nZYZ\n")
+    code, out, err = run_cli(capsys, "classify", "--encoding", str(path))
+    assert code == 1 and err == ""
+    assert parse_kv(out) == {"valid": "False", "violations": "operator 3: length 3 != 2"}
+
+
+def raise_in_run_expectation(monkeypatch, exc):
+    from matchcliff import simulator
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(simulator, "run_expectation", broken)
+
+
+def test_value_error_in_oracle_check_queries_is_input_error(capsys, monkeypatch):
+    """Only the set-up was guarded: an error in the query loop escaped as a
+    traceback."""
+    raise_in_run_expectation(monkeypatch, ValueError("query went wrong"))
+    code, out, err = run_cli(capsys, "oracle-check", f"{FIXTURES}/free_n3.json")
+    assert (code, out, err) == (1, "", "error=query went wrong\n")
+
+
+def test_internal_consistency_error_is_not_relabelled(capsys, monkeypatch):
+    from matchcliff.gaussian import InternalConsistencyError
+
+    raise_in_run_expectation(monkeypatch, InternalConsistencyError("frame drift"))
+    with pytest.raises(InternalConsistencyError, match="frame drift"):
+        cli.main(["oracle-check", f"{FIXTURES}/free_n3.json"])
+    with pytest.raises(InternalConsistencyError):
+        cli.main(["expect", f"{FIXTURES}/free_n3.json", "--pauli", "ZII"])

@@ -99,6 +99,13 @@ def test_validate_catches_non_hermitian():
     assert validate(bad) != []
 
 
+def test_validate_reports_strings_of_different_lengths_without_raising():
+    """The pair and rank checks raised PauliLengthMismatch and a ragged
+    stack error on such a set."""
+    mixed = Encoding(tuple(PauliString.from_string(s) for s in ("XI", "YI", "ZX", "ZYZ")))
+    assert validate(mixed) == ["operator 3: length 3 != 2"]
+
+
 def test_decompose_pauli_roundtrip():
     rng = np.random.default_rng(0)
     for n in (2, 3, 4):

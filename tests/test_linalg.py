@@ -364,9 +364,10 @@ def test_antisymmetry_defect_is_the_check_s_measure():
     assert linalg.antisymmetry_defect(a) == pytest.approx(3e-12, rel=1e-3)
     assert linalg.antisymmetry_defect(np.zeros((3, 0, 0))) == 0.0
     assert math.isnan(linalg.antisymmetry_defect(np.full((2, 2), np.nan)))
-    linalg.check_antisymmetric(a, 4e-12)
-    with pytest.raises(linalg.NotAntisymmetric):
-        linalg.check_antisymmetric(a, 2e-12)
+    with pytest.raises(linalg.NotAntisymmetric, match="3.000e-12 > 1.0e-12"):
+        linalg.check_antisymmetric(a)
+    a[1, 3] -= 2.5e-12
+    linalg.check_antisymmetric(a)
     with pytest.raises(linalg.NotAntisymmetric, match="square"):
         linalg.antisymmetry_defect(np.zeros((2, 3)))
 

@@ -17,16 +17,25 @@ The record holds
     the outcome of a direct restricted_pauli_expectation of Z on qubit 0;
     a change of grants is listed by structure and linear layer;
   - the refusal's type and message of bodies whose generator is too
-    large or not finite, and the CLI's exit code and error line on each.
+    large or not finite, and the CLI's exit code and error line on each;
+  - a fixed CLI sweep: every README command, each subcommand on each
+    fixture, and malformed command lines and input files (written to a
+    temporary directory), each recorded as (exit code, or the type of
+    the exception or SystemExit that escaped, stdout, stderr); diff
+    lists each command whose record changed.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
 import pickle
+import re
+import shlex
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +44,9 @@ ROTATION_SIZES = (8, 64, 256)
 CIRCUIT_SIZES = range(2, 13)
 CIRCUITS_PER_SIZE = 6
 QUERIES_PER_CIRCUIT = 6
+ROOT = Path(__file__).resolve().parent.parent
+CIRCUIT_FIXTURES = ("free_n3.json", "ghz4.json", "swap_conj_n3.json")
+ENCODING_FIXTURES = ("cz_chain_n5.txt", "reorder_equiv.txt", "sierpinski.txt")
 
 
 def _circuits():
@@ -128,13 +140,108 @@ def _cli(c, argv):
     return code, err.getvalue()
 
 
+def _malformed_inputs():
+    """File name -> contents of each malformed input of the CLI sweep."""
+    def quadratic(i, j):
+        return {
+            "n": 2,
+            "input": {"kind": "basis", "bits": "00"},
+            "layers": [{"kind": "quadratic", "h": [{"i": i, "j": j, "v": 0.1}]}],
+        }
+
+    docs = {
+        "quadratic_j9.json": quadratic(0, 9),
+        "quadratic_negative.json": quadratic(-1, 0),
+        "no_n.json": {"input": {"kind": "basis", "bits": "00"}, "layers": []},
+        "zero_qubits.json": {"n": 0, "input": {"kind": "basis", "bits": ""}, "layers": []},
+        "bits_2.json": {"n": 2, "input": {"kind": "basis", "bits": "20"}, "layers": []},
+        "unknown_layer.json": {
+            "n": 2,
+            "input": {"kind": "basis", "bits": "00"},
+            "layers": [{"kind": "mystery"}],
+        },
+    }
+    files = {name: json.dumps(doc) for name, doc in docs.items()}
+    files["invalid.json"] = "{not json"
+    files["mixed_lengths.txt"] = "XI\nYI\nZX\nZYZ\n"
+    return files
+
+
+def _cli_commands():
+    """Command lines of the CLI sweep, with {tmp} for the directory that
+    holds the malformed inputs, run from the repository root."""
+    readme = (ROOT / "README.md").read_text()
+    commands = [
+        line.removeprefix("matchcliff ")
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("matchcliff ")
+    ]
+    for name in CIRCUIT_FIXTURES:
+        path = f"fixtures/{name}"
+        n = json.loads((ROOT / path).read_text())["n"]
+        commands += [
+            f"expect {path} --pauli Z{'I' * (n - 1)}",
+            f"marginal {path} --qubits 0 --bits 0",
+            f"classify {path}",
+            f"oracle-check {path} --queries 20",
+        ]
+    commands += [f"classify --encoding fixtures/{name}" for name in ENCODING_FIXTURES]
+    for name in _malformed_inputs():
+        if name.endswith(".txt"):
+            commands.append(f"classify --encoding {{tmp}}/{name}")
+            continue
+        commands += [
+            f"expect {{tmp}}/{name} --pauli ZZ",
+            f"marginal {{tmp}}/{name} --qubits 0 --bits 0",
+            f"classify {{tmp}}/{name}",
+            f"oracle-check {{tmp}}/{name}",
+        ]
+    return commands + [
+        "expect fixtures/free_n3.json",
+        "expect fixtures/free_n3.json --pauli ZII --d-max x",
+        "expect {tmp}/no_such_file.json --pauli ZII",
+        "simulate fixtures/free_n3.json",
+        "classify",
+        "classify fixtures/ghz4.json --encoding fixtures/cz_chain_n5.txt",
+        "--help",
+    ]
+
+
+def _cli_sweep():
+    """Command line -> (exit code or escaped exception, stdout, stderr)."""
+    from matchcliff import cli
+
+    record = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _malformed_inputs().items():
+            Path(tmp, name).write_text(text)
+        os.chdir(ROOT)
+        try:
+            for command in _cli_commands():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(shlex.split(command.format(tmp=tmp)))
+                    except SystemExit as exc:
+                        code = f"SystemExit({exc.code})"
+                    except Exception as exc:
+                        code = type(exc).__name__
+                texts = (t.getvalue().replace(tmp, "{tmp}") for t in (out, err))
+                record[command] = (code, *texts)
+        finally:
+            os.chdir(cwd)
+    return record
+
+
 def dump(path):
     from matchcliff import simulator
     from matchcliff.circuits import BasisInput, Circuit, LinearLayer, QuadraticLayer
     from matchcliff.gaussian import MarginalQuery
     from matchcliff.pauli import PauliString
 
-    record = {"rotations": {}, "answers": [], "grants": [], "refusals": {}}
+    record = {"rotations": {}, "answers": [], "grants": [], "refusals": {}, "cli": _cli_sweep()}
     rng = np.random.default_rng(SEED)
     for n in ROTATION_SIZES:
         h = rng.normal(size=(2 * n, 2 * n)) * (0.3 / np.sqrt(n))
@@ -231,6 +338,11 @@ def diff(old_path, new_path) -> int:
         if not same:
             print(f"  old {outcome}\n  new {new['refusals'][name]}")
             bad += 1
+    changed = [c for c, rec in old["cli"].items() if new["cli"].get(c) != rec]
+    bad += bool(changed)
+    print(f"cli: {len(old['cli'])} commands; records changed on {len(changed)}")
+    for command in changed:
+        print(f"  {command}\n    old {old['cli'][command]}\n    new {new['cli'].get(command)}")
     return 1 if bad else 0
 
 
