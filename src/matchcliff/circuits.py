@@ -245,6 +245,14 @@ def _check_layer(lay, n: int):
 # -- JSON format -------------------------------------------------------
 
 
+def _index(value, what: str) -> int:
+    """value if it is a JSON integer; a float such as 1.7, a bool or a
+    string is refused, never truncated."""
+    if type(value) is not int:
+        raise CircuitParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _input_from_json(doc, n):
     kind = doc.get("kind")
     if kind == "basis":
@@ -263,18 +271,19 @@ def _input_from_json(doc, n):
 def _layer_from_json(doc, n):
     kind = doc.get("kind")
     if kind == "clifford":
-        return CliffordLayer(doc["gate"], tuple(int(q) for q in doc["qubits"]))
+        return CliffordLayer(doc["gate"], tuple(_index(q, "clifford qubit") for q in doc["qubits"]))
     if kind == "matchgate":
         coeffs = doc["coeffs"]
         return MatchgateLayer(
-            int(doc["qubit"]), tuple(float(coeffs[k]) for k in COEFF_KEYS)
+            _index(doc["qubit"], "matchgate qubit"), tuple(float(coeffs[k]) for k in COEFF_KEYS)
         )
     if kind == "linear":
         return LinearLayer(tuple(float(v) for v in doc["b"]))
     if kind == "quadratic":
         h = np.zeros((2 * n, 2 * n))
         for ent in doc["h"]:
-            i, j, v = int(ent["i"]), int(ent["j"]), float(ent["v"])
+            i, j = (_index(ent[k], f"quadratic entry {k}") for k in "ij")
+            v = float(ent["v"])
             if not (0 <= i < 2 * n and 0 <= j < 2 * n):
                 raise CircuitParseError(f"quadratic entry ({i}, {j}) out of range for 2n = {2 * n}")
             h[i, j] = v
@@ -285,7 +294,7 @@ def _layer_from_json(doc, n):
 
 def from_json_doc(doc) -> Circuit:
     try:
-        n = int(doc["n"])
+        n = _index(doc["n"], "n")
         inp = _input_from_json(doc["input"], n)
         structure = doc.get("structure", "free")
         layers = tuple(_layer_from_json(l, n) for l in doc["layers"])

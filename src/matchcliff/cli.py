@@ -3,11 +3,14 @@
 Subcommands: expect, marginal, classify (a circuit file or --encoding),
 oracle-check.  Output is key=value lines (or one JSON object with
 --json).  main alone maps an error to its exit code and one error= line:
-1 for an input error (a malformed command line or file, a circuit whose
-evolution is not finite, an out-of-range --d-max), 2 for a query that
-the circuit's grants refuse (such as any expectation on a conjugated
-circuit with a linear layer).  The printed class and expect's method=
-are read from the grants that compile decided.
+1 for an input error (a malformed command line or file, a fractional
+index, a circuit whose evolution is not finite, an out-of-range --d-max
+or a --queries below 1), 2 for a query that the circuit's grants refuse
+(such as any expectation on a conjugated circuit with a linear layer,
+or an oracle-check whose every sampled query is refused).  oracle-check
+prints its record and exits 3 when an answer deviates from the dense
+oracle by more than --tolerance.  The printed class and expect's
+method= are read from the grants that compile decided.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .pauli import PauliString
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNSUPPORTED = 2
+EXIT_CHECK_FAILED = 3  # oracle-check: an answer deviates from the oracle
 
 
 def _emit(pairs: dict, as_json: bool):
@@ -109,6 +113,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.queries < 1:
+        raise ValueError(f"--queries must be at least 1, got {args.queries}")
     circ = circuits.load(args.file)
     if circ.n > oracle.SIZE_CAP:
         raise circuits.CircuitParseError(
@@ -143,7 +149,11 @@ def cmd_oracle_check(args) -> int:
             want = oracle.marginal(ref, qubits, bits)
         checked += 1
         max_dev = max(max_dev, abs(got - want))
-    ok = checked > 0 and max_dev <= args.tolerance
+    if checked == 0:
+        raise simulator.UnsupportedQuery(
+            f"the circuit's grants refuse all {args.queries} sampled queries"
+        )
+    ok = max_dev <= args.tolerance
     _emit(
         {
             "queries_checked": checked,
@@ -152,7 +162,7 @@ def cmd_oracle_check(args) -> int:
         },
         args.json,
     )
-    return EXIT_OK if ok else EXIT_INPUT
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,10 @@ class MarginalQuery:
             bits = tuple(map(_BITS.__getitem__, self.bits))
         except KeyError:
             raise ValueError(f"query bits must be 0 or 1, got {self.bits!r}") from None
-        qubits = tuple(map(int, self.qubits))
+        try:
+            qubits = tuple(map(operator.index, self.qubits))
+        except TypeError:
+            raise ValueError(f"query qubits must be integers, got {self.qubits!r}") from None
         if len(qubits) != len(bits):
             raise ValueError("qubits and bits differ in length")
         if len(set(qubits)) != len(qubits):
@@ -84,32 +88,18 @@ class CovarianceMatrix:
         return float(np.max(np.abs(self.gamma @ self.gamma.T - np.eye(m))))
 
 
-def evolve(c: CovarianceMatrix, rotations) -> CovarianceMatrix:
-    """gamma <- S gamma S^T, S = R_L ... R_1 the product of the Majorana
-    rotations given as blocks (offset, R_i) in application order; R_i
-    rotates Majoranas offset .. offset + len(R_i) - 1.  A block of order
-    k costs O(m k) on the m x m covariance."""
+def evolve(c: CovarianceMatrix, s) -> CovarianceMatrix:
+    """gamma <- S gamma S^T, two GEMMs, for the body operator S: one
+    rotation of the covariance's Majoranas, orthogonal to within
+    TOL.orthogonality, that fixes Majorana 0."""
+    s = linalg.check_rotation(s)
     m = c.gamma.shape[0]
-    blocks = [(offset, np.asarray(r, dtype=float)) for offset, r in rotations]
-    # the 4x4 blocks of matchgates are checked in one stacked call
-    local = [r for _, r in blocks if r.shape == (4, 4)]
-    if local:
-        linalg.check_rotation(np.stack(local))
-    for offset, r in blocks:
-        k = r.shape[0]
-        if r.shape != (4, 4):
-            linalg.check_rotation(r)
-        if r.shape != (k, k) or not 0 <= offset <= m - k:
-            raise FrameworkError("rotation block does not fit the covariance")
-        if offset == 0:
-            e0 = np.eye(k)[0]
-            dev = max(np.max(np.abs(r[0] - e0)), np.max(np.abs(r[:, 0] - e0)))
-            if not dev <= TOL.orthogonality:
-                raise FrameworkError("rotations must leave the first Majorana fixed")
-    g = linalg.rotate_rows(np.array(c.gamma), blocks)  # S gamma
-    # gamma S^T = -(S gamma)^T, copied so that its rows are contiguous
-    g = linalg.rotate_rows(np.ascontiguousarray(-g.T), blocks)
-    return CovarianceMatrix(g, c.n)
+    if s.shape != (m, m):
+        raise FrameworkError(f"body operator shape {s.shape} does not fit the covariance")
+    e0 = np.eye(1, m)[0]
+    if not max(np.max(np.abs(s[0] - e0)), np.max(np.abs(s[:, 0] - e0))) <= TOL.orthogonality:
+        raise FrameworkError("the body operator must leave Majorana 0 fixed")
+    return CovarianceMatrix(s @ c.gamma @ s.T, c.n)
 
 
 @functools.lru_cache(maxsize=1024)

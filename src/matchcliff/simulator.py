@@ -2,12 +2,14 @@
 polynomial-time algorithm that covers them, or refuse with a reason.
 
 compile_circuit decides once what a circuit grants, from one table
-(GRANTS) keyed by its structure or its conjugation's class; the
+(GRANTS) keyed by its structure or its conjugation's class, and
+multiplies its body into one rotation S of the Majoranas; the
 classifier, the dispatchers and the CLI look that decision up.  The
-routes are covariance evolution plus Pfaffian readout (gaussian module),
-through one readout state per compiled circuit, with basis inputs and
-query bits mapped through basis-permuting Cliffords (tableau module),
-and a restricted-degree Heisenberg sum for conjugated circuits.
+routes are covariance evolution, S gamma S^T, plus Pfaffian readout
+(gaussian module), through one readout state per compiled circuit, with
+basis inputs and query bits mapped through basis-permuting Cliffords
+(tableau module), and a restricted-degree Heisenberg sum over the minors
+of S for conjugated circuits.
 """
 from __future__ import annotations
 
@@ -180,56 +182,38 @@ class CompiledCircuit:
 
     circuit: Circuit
     grants: SimClass
-    # per body layer, in application order: (offset, R) with R rotating
-    # Majoranas offset .. offset + len(R) - 1; 4x4 for a matchgate, dense
-    # at offset 0 for a linear or quadratic layer
-    rotations: tuple
+    # S = R_L ... R_1, the read-only (2n+2) x (2n+2) rotation of the
+    # covariance's Majoranas by the whole body
+    body: np.ndarray
     post_inverse: CliffordTableau | None = None  # pulls Paulis back through post
     conj_class: CliffordClass | None = None
     # (A, b) with C|x> = phase |A x + b mod 2>, for a basis-permuting C
     basis_map: tuple | None = None
 
-    # The restricted route's body product, maps and kept batches and the
-    # covariance route's readout and map are built on their first query,
-    # not while compiling, so a circuit holds only what its queries read:
-    # free circuits, whose dispatcher route is the covariance, would
-    # otherwise hold a 2n x 2n product they never read.
-
-    @functools.cached_property
-    def body_product(self) -> np.ndarray:
-        """S = R_L ... R_1 on the 2n logical Majoranas.  A body without
-        linear layers fixes the ancilla pair, so there S is the [2:, 2:]
-        block of the product."""
-        m = 2 * self.circuit.n
-        return linalg.rotate_rows(np.eye(m + 2), self.rotations)[-m:, -m:]
+    # The covariance route's readout and map and the restricted route's
+    # maps and kept batches are built on their first query, not while
+    # compiling, so a circuit holds only what its queries read.
 
     @functools.cached_property
     def readout(self) -> CovarianceMatrix:
         """The covariance that the covariance route reads, built on its
-        first query: the body covariance of the input, permuted by pi for
-        a product input under SWAPs, and C|x> = |A x + b> for a basis
-        input x under a basis-permuting C.  Under the swap and CZ+swap
-        classes C Z_q C^dag = Z_pi(q), pi read from the X parts of A, so
-        output qubit q is pair pi(q) of that covariance; one gather moves
-        it to pair q.  Any other circuit reads evolve's covariance as it
-        is.  The permutation class maps each query's bits through
-        basis_map."""
+        first query: S gamma S^T of the input, with C|x> = |A x + b> for a
+        basis input x under a basis-permuting C.  Under the swap and
+        CZ+swap classes C Z_q C^dag = Z_pi(q), pi read from the X parts of
+        A, and a product input's qubit j moves to pi(j); S's rows are
+        gathered so that pair pi(q) lands on pair q.  The permutation
+        class maps each query's bits through basis_map."""
         c = self.circuit
-        perm = None
-        if self.conj_class in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
-            perm = self.basis_map[0].argmax(axis=0)
-        inp = c.input
+        inp, s = c.input, self.body
         if isinstance(inp, BasisInput) and self.basis_map is not None:
             a, b = self.basis_map
             inp = BasisInput(tuple((a @ np.array(inp.bits) + b) & 1))
-        elif perm is not None:
-            # qubit j's angles move to qubit pi(j)
-            inp = ProductInput(tuple(inp.angles[j] for j in np.argsort(perm)))
-        cov = gaussian.evolve(gaussian.product_state_covariance(inp), self.rotations)
-        if perm is None:
-            return cov
-        fold = np.concatenate([[0, 1], gaussian.majorana_pairs(c.n)[perm].ravel()])
-        return CovarianceMatrix(cov.gamma[np.ix_(fold, fold)], c.n)
+        if self.conj_class in (CliffordClass.SWAP_ONLY, CliffordClass.CZ_SWAP):
+            perm = self.basis_map[0].argmax(axis=0)
+            if isinstance(inp, ProductInput):
+                inp = ProductInput(tuple(inp.angles[j] for j in np.argsort(perm)))
+            s = s[np.concatenate([[0, 1], gaussian.majorana_pairs(c.n)[perm].ravel()])]
+        return gaussian.evolve(gaussian.product_state_covariance(inp), s)
 
     @functools.cached_property
     def basis_masks(self) -> tuple:
@@ -278,7 +262,7 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
         extra["post_inverse"] = tableau.invert(c.post_tableau())
     # a matchgate rotates only its four Majoranas, and the body's matchgates
     # are exponentiated in one stacked call; a linear or quadratic layer
-    # rotates every Majorana
+    # rotates every Majorana; one pass multiplies the blocks into S
     layers = c.body_layers()
     coeffs = [lay.coeffs for lay in layers if isinstance(lay, MatchgateLayer)]
     local = iter(
@@ -286,13 +270,15 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
             matchgate_generator(np.array(coeffs, dtype=float).reshape(-1, 6))
         )
     )
-    rotations = tuple(
+    blocks = [
         (2 * lay.qubit + 2, next(local))
         if isinstance(lay, MatchgateLayer)
         else (0, linalg.expm_antisymmetric(layer_generator(lay, c.n)))
         for lay in layers
-    )
-    return CompiledCircuit(c, _grants(c, cls), rotations, **extra)
+    ]
+    body = linalg.rotate_rows(np.eye(2 * c.n + 2), blocks)
+    body.flags.writeable = False
+    return CompiledCircuit(c, _grants(c, cls), body, **extra)
 
 
 def classify_circuit(c: Circuit) -> SimClass:
@@ -414,8 +400,9 @@ def restricted_pauli_expectation(
         raise DegreeTooLarge(
             f"query needs {d} Majorana factors, above the limit {d_max}"
         )
-    # row J of s_cols[js] is S[I, J] transposed, which has its determinant
-    s_cols = cc.body_product.take(indices, axis=0).T
+    # PIpO bodies have no linear layer, so S fixes the ancilla pair; row J
+    # of s_cols[js] is S[I, J] transposed, which has its determinant
+    s_cols = cc.body[2:, 2:].take(indices, axis=0).T
     total = 0.0 + 0.0j
     for js, values in _minor_batches(cc, d):
         total += np.linalg.det(s_cols[js]) @ values

@@ -136,6 +136,34 @@ def test_bad_documents_raise_parse_errors():
             from_json_doc(doc)
 
 
+def test_fractional_and_non_integer_indices_are_refused_not_truncated():
+    """A qubit of 1.7 read as qubit 1 and a quadratic entry (0.9, 2.5) as
+    (0, 2); n, every qubit and every entry index must be a JSON integer."""
+    good = to_json_doc(small_circuit())
+    clifford = {"kind": "clifford", "gate": "H", "qubits": [0]}
+    quadratic = {"kind": "quadratic", "h": [{"i": 0, "j": 2, "v": 0.1}]}
+    for mutate in (
+        lambda d: d.update(n=3.0),
+        lambda d: d.update(n="3"),
+        lambda d: d.update(n=True),
+        lambda d: d["layers"][0].update(qubit=1.7),
+        lambda d: d["layers"][0].update(qubit=0.0),
+        lambda d: d["layers"][0].update(qubit=False),
+        lambda d: d.update(
+            structure="post_clifford", layers=d["layers"] + [{**clifford, "qubits": [0.5]}]
+        ),
+        lambda d: d["layers"].append({**quadratic, "h": [{"i": 0.9, "j": 2, "v": 0.1}]}),
+        lambda d: d["layers"].append({**quadratic, "h": [{"i": 0, "j": 2.5, "v": 0.1}]}),
+    ):
+        doc = json.loads(json.dumps(good))
+        mutate(doc)
+        with pytest.raises(CircuitParseError, match="must be an integer"):
+            from_json_doc(doc)
+    doc = json.loads(json.dumps(good))
+    doc.update(structure="post_clifford", layers=doc["layers"] + [quadratic, clifford])
+    assert from_json_doc(doc).n == good["n"]
+
+
 def test_product_input_refuses_non_finite_angles_and_non_pairs():
     nan, inf = float("nan"), float("inf")
     for angles in (

@@ -300,8 +300,66 @@ def test_linear_layer_under_a_general_conjugation_is_refused(capsys, tmp_path):
         assert out == "" and err.startswith("error=")
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 0 and parse_kv(out)["class"] == ""
-    code, out, _ = run_cli(capsys, "oracle-check", str(path), "--queries", "10")
-    assert parse_kv(out)["queries_checked"] == "0" and code == 1
+    code, out, err = run_cli(capsys, "oracle-check", str(path), "--queries", "10")
+    assert code == 2 and out == ""
+    assert err == "error=the circuit's grants refuse all 10 sampled queries\n"
+
+
+def test_oracle_check_exit_codes(capsys, monkeypatch):
+    """status=fail exited 1, the input-error code, and --queries 0 ended
+    in queries_checked=0, status=fail.  Now --queries below 1 is an input
+    error, and an answer off the oracle by more than --tolerance prints
+    the record and exits EXIT_CHECK_FAILED, 3."""
+    from matchcliff import simulator
+
+    path = f"{FIXTURES}/free_n3.json"
+    for queries in ("0", "-2"):
+        code, out, err = run_cli(capsys, "oracle-check", path, "--queries", queries)
+        assert (code, out) == (1, "")
+        assert err == f"error=--queries must be at least 1, got {queries}\n"
+    code, out, _ = run_cli(capsys, "oracle-check", path, "--queries", "10")
+    assert code == cli.EXIT_OK and parse_kv(out)["status"] == "pass"
+    marginal = simulator.run_marginal
+    monkeypatch.setattr(simulator, "run_marginal", lambda c, q: marginal(c, q) + 1e-6)
+    code, out, err = run_cli(capsys, "oracle-check", path, "--queries", "10")
+    assert code == cli.EXIT_CHECK_FAILED == 3 and err == ""
+    pairs = parse_kv(out)
+    assert pairs["status"] == "fail" and float(pairs["max_deviation"]) >= 1e-6
+    code, out, _ = run_cli(capsys, "oracle-check", path, "--queries", "10", "--tolerance", "1e-3")
+    assert code == 0 and parse_kv(out)["status"] == "pass"
+
+
+def test_fractional_index_in_a_circuit_file_is_an_input_error(capsys, tmp_path):
+    """A matchgate on qubit 1.7 and a quadratic entry (0.9, 2.5) were read
+    as qubit 1 and entry (0, 2): expect printed a value and exited 0."""
+    doc = {
+        "n": 3,
+        "input": {"kind": "basis", "bits": "010"},
+        "structure": "free",
+        "layers": [
+            {
+                "kind": "matchgate",
+                "qubit": 1.7,
+                "coeffs": dict.fromkeys(("a0", "a1", "b1", "b2", "d1", "d2"), 0.2),
+            },
+            {"kind": "quadratic", "h": [{"i": 0.9, "j": 2.5, "v": 0.3}]},
+        ],
+    }
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ("expect", "--pauli", "ZZI"),
+        ("marginal", "--qubits", "0", "--bits", "1"),
+        ("classify",),
+    ):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "error=matchgate qubit must be an integer, got 1.7\n"
+    doc["layers"].pop(0)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "expect", str(path), "--pauli", "ZZI")
+    assert (code, out) == (1, "")
+    assert err == "error=quadratic entry i must be an integer, got 0.9\n"
 
 
 def test_oracle_check_reports_a_body_that_compile_refuses(capsys, tmp_path):

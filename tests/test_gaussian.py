@@ -20,6 +20,18 @@ from matchcliff.linalg import expm_antisymmetric
 from matchcliff.pauli import PauliString
 
 
+def _body(m, blocks):
+    """S = R_L ... R_1 on m Majoranas, for the blocks (offset, R_i) in
+    application order, as compile_circuit multiplies a body's blocks."""
+    return linalg.rotate_rows(np.eye(m), blocks)
+
+
+def _logical(r):
+    """S with the rotation r on the logical Majoranas, fixing the ancilla
+    pair."""
+    return _body(len(r) + 2, [(2, r)])
+
+
 def test_vacuum_covariance_expectations():
     c = product_state_covariance(BasisInput((0, 0, 0)))
     assert pauli_expectation(c, PauliString.from_string("ZII")) == pytest.approx(1.0)
@@ -64,7 +76,7 @@ def test_marginals_match_oracle_after_evolution():
             for j in range(2 * n)
             if i != j
         ]
-        cov = evolve(product_state_covariance(BasisInput((0,) * n)), [(2, expm_antisymmetric(h))])
+        cov = evolve(product_state_covariance(BasisInput((0,) * n)), _logical(expm_antisymmetric(h)))
         st = oracle.basis_state(n, (0,) * n)
         hmat = sum(
             1j * h[i, j] * jw.majoranas[i].dense() @ jw.majoranas[j].dense()
@@ -87,7 +99,7 @@ def test_evolution_preserves_purity():
     for _ in range(5):
         h = rng.normal(size=(2 * n, 2 * n))
         h = h - h.T
-        c = evolve(c, [(2, expm_antisymmetric(h))])
+        c = evolve(c, _logical(expm_antisymmetric(h)))
         assert c.purity_defect() <= 1e-8
 
 
@@ -112,7 +124,7 @@ def test_marginal_distribution_normalizes():
     n = 4
     h = rng.normal(size=(2 * n, 2 * n)) * 0.5
     h = h - h.T
-    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), [(2, expm_antisymmetric(h))])
+    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), _logical(expm_antisymmetric(h)))
     import itertools
 
     for qubits in ((2,), (0, 3), (1, 2, 3)):
@@ -135,7 +147,7 @@ def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
     rng = np.random.default_rng(seed)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
     h = rng.normal(size=(2 * n, 2 * n)) * scale
-    cov = evolve(product_state_covariance(BasisInput(bits)), [(2, expm_antisymmetric(h - h.T))])
+    cov = evolve(product_state_covariance(BasisInput(bits)), _logical(expm_antisymmetric(h - h.T)))
     k = int(rng.integers(1, n + 1))
     qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
     # mostly the likelier outcome per qubit, so the products stay sizeable
@@ -158,7 +170,7 @@ def test_empty_marginal_is_one(capfd):
     on stdout."""
     rng = np.random.default_rng(5)
     h = rng.normal(size=(6, 6))
-    cov = evolve(product_state_covariance(BasisInput((1, 0, 1))), [(2, expm_antisymmetric(h - h.T))])
+    cov = evolve(product_state_covariance(BasisInput((1, 0, 1))), _logical(expm_antisymmetric(h - h.T)))
     assert marginal_probability(cov, MarginalQuery((), ())) == 1.0
     assert capfd.readouterr() == ("", "")
 
@@ -193,17 +205,22 @@ def test_block_evolve_equals_dense_conjugation(n, product, seed):
         full = np.eye(m)
         full[off : off + r.shape[0], off : off + r.shape[0]] = r
         s = full @ s
-    got = evolve(start, blocks).gamma
+    assert np.max(np.abs(_body(m, blocks) - s)) <= 1e-12
+    got = evolve(start, _body(m, blocks)).gamma
     assert np.max(np.abs(got - s @ start.gamma @ s.T)) <= 1e-12
 
 
 def test_evolve_refuses_blocks_that_break_the_frame():
+    """A body operator that moves Majorana 0, or does not fit the
+    covariance, is refused, however its blocks were laid out."""
     rng = np.random.default_rng(6)
     cov = product_state_covariance(BasisInput((0, 1)))
-    with pytest.raises(gaussian.FrameworkError):
-        evolve(cov, [(0, _random_rotation(rng, 4))])  # moves Majorana 0
-    with pytest.raises(gaussian.FrameworkError):
-        evolve(cov, [(4, _random_rotation(rng, 4))])  # rows 4..7 of 6
+    with pytest.raises(gaussian.FrameworkError, match="Majorana 0"):
+        evolve(cov, _body(6, [(0, _random_rotation(rng, 4))]))
+    with pytest.raises(gaussian.FrameworkError, match="Majorana 0"):
+        evolve(cov, _body(6, [(2, _random_rotation(rng, 4)), (0, _random_rotation(rng, 6))]))
+    with pytest.raises(gaussian.FrameworkError, match="does not fit"):
+        evolve(cov, _body(8, [(4, _random_rotation(rng, 4))]))  # rows 4..7 of 6
 
 
 def test_evolve_refuses_any_non_orthogonal_block():
@@ -213,7 +230,7 @@ def test_evolve_refuses_any_non_orthogonal_block():
         blocks = [(2, _random_rotation(rng, 4)) for _ in range(4)]
         blocks.insert(k, (0, 1.001 * _random_rotation(rng, order)))
         with pytest.raises(ValueError, match="not orthogonal"):
-            evolve(cov, blocks)
+            evolve(cov, _body(10, blocks))
 
 
 def _hermitian_majorana_monomials(n):
@@ -273,7 +290,7 @@ def test_basis_covariance_differs_from_the_lifted_block_form_only_in_majorana_0(
         dense = np.eye(m)
         dense[1:, 1:] = _random_rotation(rng, m - 1)
         blocks = [(int(rng.integers(2, m - 3)), _random_rotation(rng, 4)) for _ in range(4)]
-        for body in (blocks, blocks + [(0, dense)]):
+        for body in (_body(m, blocks), _body(m, blocks + [(0, dense)])):
             new = evolve(cov, body)
             old = evolve(CovarianceMatrix(lifted, n), body)
             assert np.array_equal(new.gamma[1:, 1:], old.gamma[1:, 1:])
@@ -293,13 +310,23 @@ def test_marginal_query_refuses_bits_other_than_0_and_1():
     assert (q.qubits, q.bits) == ((2, 0), (1, 0))
 
 
+def test_marginal_query_refuses_qubits_that_are_not_integers():
+    """(1.9,) read qubit 1 and (0.99,) qubit 0; a qubit goes through
+    operator.index, so numpy integers pass and nothing is truncated."""
+    for qubits in ((1.9,), (0.99,), (1.0,), ("1",), (np.float64(2.0), 0)):
+        with pytest.raises(ValueError, match="integers"):
+            MarginalQuery(qubits, (0,) * len(qubits))
+    q = MarginalQuery((np.int32(3), np.intp(1)), (0, 1))
+    assert q.qubits == (3, 1) and all(type(i) is int for i in q.qubits)
+
+
 def test_marginal_kernel_reads_the_given_pair_table():
     """Qubit q reads row q of majorana_pairs, the pair (2q + 2, 2q + 3):
     <Z_q> = gamma[2q + 2, 2q + 3], so p(q = b) = (1 + (-1)^b gamma) / 2."""
     rng = np.random.default_rng(6)
     n = 4
     h = rng.normal(size=(2 * n, 2 * n))
-    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), [(2, expm_antisymmetric(h - h.T))])
+    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), _logical(expm_antisymmetric(h - h.T)))
     pairs = gaussian.majorana_pairs(n)
     assert pairs.tolist() == [[2, 3], [4, 5], [6, 7], [8, 9]]
     for q, (a, b) in enumerate(pairs):
@@ -350,7 +377,7 @@ def test_marginal_on_a_within_tolerance_covariance_makes_one_lu_and_no_rescan(mo
     rng = np.random.default_rng(8)
     n = 6
     h = rng.normal(size=(2 * n, 2 * n))
-    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0, 1, 0))), [(2, expm_antisymmetric(h - h.T))])
+    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0, 1, 0))), _logical(expm_antisymmetric(h - h.T)))
     assert cov.antisymmetry_defect <= linalg.TOL.antisymmetry / 2
     g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
     g[4, 6] = 5e-12

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -370,7 +371,7 @@ def test_compiled_clifford_data_matches_a_rebuild():
         s = np.eye(2 * n + 2)
         for lay in c.body_layers():
             s = dense_matchgate_rotation(lay, n) @ s
-        assert np.max(np.abs(cc.body_product - s[2:, 2:])) <= 1e-12
+        assert np.max(np.abs(cc.body - s)) <= 1e-12
         conj = c.conjugation_tableau()
         # the restricted route dresses by the trailing block as C^-1
         assert c.post_tableau() == tableau.invert(conj)
@@ -405,15 +406,33 @@ def test_matchgate_block_equals_dense_layer_rotation(n, data, coeffs, kind):
     lay = MatchgateLayer(k, tuple(coeffs))
     inp = BasisInput((0,) * n) if kind == "basis" else ProductInput(((0.3, 0.1),) * n)
     cc = compile_circuit(Circuit(n, inp, (lay,), "free"))
-    ((offset, r),) = cc.rotations
-    assert offset == 2 * k + 2
-    full = np.eye(2 * n + 2)
-    full[offset : offset + 4, offset : offset + 4] = r
-    assert np.max(np.abs(full - dense_matchgate_rotation(lay, n))) <= 1e-12
+    assert np.max(np.abs(cc.body - dense_matchgate_rotation(lay, n))) <= 1e-12
+    # the gate's block times the identity: exactly I off Majoranas 2k+2..2k+5
+    outside = cc.body.copy()
+    outside[2 * k + 2 : 2 * k + 6, 2 * k + 2 : 2 * k + 6] = np.eye(4)
+    assert np.array_equal(outside, np.eye(2 * n + 2))
     assert cc.readout.gamma.shape == (2 * n + 2, 2 * n + 2)
 
 
+def _dense_body(c):
+    """The product of the body layers' dense (2n+2) x (2n+2) rotations in
+    application order, each exponentiated by scipy.linalg.expm at full
+    order."""
+    s = np.eye(2 * c.n + 2)
+    for lay in c.body_layers():
+        if isinstance(lay, MatchgateLayer):
+            r = dense_matchgate_rotation(lay, c.n)
+        else:
+            r = scipy.linalg.expm(4.0 * simulator.layer_generator(lay, c.n))
+        s = r @ s
+    return s
+
+
 def test_compiled_rotations_are_local_for_matchgates_only():
+    """The compiled body is the product of the layers' dense rotations,
+    for bodies that mix matchgates with a quadratic and a linear layer, in
+    which only a linear layer mixes Majorana 1 with the logical ones; a
+    body of matchgates alone fixes the ancilla pair exactly."""
     rng = np.random.default_rng(14)
     n = 5
     for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
@@ -426,13 +445,14 @@ def test_compiled_rotations_are_local_for_matchgates_only():
             Circuit(n, inp, tuple(body), "free"),
             Circuit(n, inp, tuple(body + [random_linear_layer(rng, n)]), "free"),
         ):
-            cc = compile_circuit(c)
-            m = 2 * n + 2
-            for lay, (offset, r) in zip(c.body_layers(), cc.rotations):
-                if isinstance(lay, MatchgateLayer):
-                    assert r.shape == (4, 4)
-                else:
-                    assert (offset, r.shape) == (0, (m, m))
+            body = compile_circuit(c).body
+            assert not body.flags.writeable
+            assert np.max(np.abs(body - _dense_body(c))) <= 1e-12
+            assert (np.max(np.abs(body[1, 2:])) > 1e-6) == c.has_linear()
+        local = Circuit(n, inp, tuple(random_matchgate_layers(rng, n, 6)), "free")
+        body = compile_circuit(local).body
+        assert np.array_equal(body[:2], np.eye(2 * n + 2)[:2])
+        assert np.array_equal(body[:, :2], np.eye(2 * n + 2)[:, :2])
 
 
 def test_matchgate_generator_takes_stacked_coefficient_rows():
@@ -463,9 +483,9 @@ def test_compile_exponentiates_a_body_in_one_stacked_call(monkeypatch):
     calls.clear()
     # a body with no matchgates makes an empty stacked call and its dense one
     dense = Circuit(n, inp, (random_quadratic_layer(rng, n),), "free")
-    ((offset, r),) = compile_circuit(dense).rotations
+    body = compile_circuit(dense).body
     assert calls == [(0, 4, 4), (2 * n + 2, 2 * n + 2)]
-    assert (offset, r.shape) == (0, (2 * n + 2, 2 * n + 2))
+    assert body.shape == (2 * n + 2, 2 * n + 2)
 
 
 def test_compile_builds_no_pauli_string(monkeypatch):
@@ -492,7 +512,7 @@ def test_compile_builds_no_pauli_string(monkeypatch):
     monkeypatch.setattr(pauli.PauliString, "__post_init__", counted_init)
     cc = compile_circuit(c)
     assert built == []
-    assert [r.shape for _, r in cc.rotations] == [(4, 4)] * 3 + [(2 * n + 2,) * 2] * 2 + [(4, 4)] * 3
+    assert np.max(np.abs(cc.body - _dense_body(c))) <= 1e-12
     # the counter is live
     PauliString.identity(n)
     assert len(built) == 1
@@ -887,18 +907,57 @@ def test_large_marginals_equal_the_log_determinant_at_n192(swaps):
             assert sum(split) == pytest.approx(p, rel=1e-12)
 
 
+def test_body_blocks_are_applied_once_per_compile(monkeypatch):
+    """compile_circuit multiplies the body's blocks into S with one
+    rotate_rows pass; a query that builds the readout, folded or not, or
+    a restricted sum reads S and applies no block."""
+    calls = []
+    rotate_rows = linalg.rotate_rows
+
+    def counted(a, blocks):
+        calls.append(len(blocks))
+        return rotate_rows(a, blocks)
+
+    monkeypatch.setattr(linalg, "rotate_rows", counted)
+    compile_circuit.cache_clear()
+    rng = np.random.default_rng(41)
+    n = 5
+    body = random_matchgate_layers(rng, n, 6) + [random_quadratic_layer(rng, n)]
+    swaps = random_clifford_gates(rng, n, 2 * n, names=("SWAP",))
+    general = random_clifford_gates(rng, n, 2 * n, names=("H", "S", "CNOT"))
+    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+        for c in (
+            Circuit(n, inp, tuple(body), "free"),
+            Circuit(n, inp, tuple(swaps + body + invert_clifford_gates(swaps)), "conjugated"),
+            Circuit(n, inp, tuple(general + body + invert_clifford_gates(general)), "conjugated"),
+        ):
+            calls.clear()
+            compile_circuit(c)
+            assert calls == [len(body)]
+            ref = oracle.apply_circuit(c)
+            z = PauliString.single(n, 1, "Z")
+            want = oracle.expectation(ref, z).real
+            assert abs(run_expectation(c, z) - want) <= 1e-9
+            assert abs(restricted_pauli_expectation(c, z) - want) <= 1e-9
+            if classify_circuit(c).flags & {"PIBO", "CIBO"}:
+                got = run_marginal(c, MarginalQuery((0, 3), (1, 0)))
+                assert abs(got - oracle.marginal(ref, (0, 3), (1, 0))) <= 1e-9
+            assert calls == [len(body)]
+
+
 @pytest.mark.parametrize("names", [("SWAP",), ("SWAP", "CZ")], ids=["swap", "cz_swap"])
 def test_readout_folds_the_qubit_permutation(names, monkeypatch):
     """Under SWAP and CZ+SWAP conjugations C Z_q C^dag = Z_pi(q), and the
-    readout's pair q is, bit for bit, pair pi(q) of evolve on the input
-    relabelled by C; a free circuit's readout is evolve's own covariance."""
+    readout's pair q is pair pi(q) of evolve on the input relabelled by C,
+    to 1e-15: pi is folded into the body's rows, so the readout is
+    evolve's own covariance, as a free circuit's is."""
     rng = np.random.default_rng([31, len(names)])
     n = 5
     evolved = []
     evolve = gaussian.evolve
 
-    def recorded(cov, rotations):
-        evolved.append(evolve(cov, rotations))
+    def recorded(cov, s):
+        evolved.append(evolve(cov, s))
         return evolved[-1]
 
     monkeypatch.setattr(gaussian, "evolve", recorded)
@@ -915,11 +974,11 @@ def test_readout_folds_the_qubit_permutation(names, monkeypatch):
             relabelled = BasisInput(tuple(int(b) for b in tableau.basis_action(t, inp.bits)[0]))
         else:
             relabelled = ProductInput(tuple(inp.angles[pi.index(j)] for j in range(n)))
-        want = evolve(gaussian.product_state_covariance(relabelled), cc.rotations).gamma
+        want = evolve(gaussian.product_state_covariance(relabelled), cc.body).gamma
         # the ancilla pair stays, and pair q takes pair pi(q)'s rows and columns
         idx = [0, 1] + [2 * j + 2 + i for j in pi for i in (0, 1)]
-        assert cc.readout is not evolved[-1]
-        assert np.array_equal(cc.readout.gamma, want[np.ix_(idx, idx)])
+        assert cc.readout is evolved[-1]
+        assert np.max(np.abs(cc.readout.gamma - want[np.ix_(idx, idx)])) <= 1e-15
 
 
 def test_free_body_with_a_linear_layer_refuses_the_restricted_route():

@@ -1,4 +1,4 @@
-"""Compare the compiled rotations, answers and refusals of two source trees.
+"""Compare the compiled bodies, answers and refusals of two source trees.
 
 Seeded, so two runs on the same tree print the same record.  Run it once
 with each tree's `src` on PYTHONPATH, then compare the two records:
@@ -8,8 +8,9 @@ with each tree's `src` on PYTHONPATH, then compare the two records:
     python tools/compare_compile.py diff old.pkl new.pkl
 
 The record holds
-  - the compiled rotation of one linear and one quadratic layer at
-    n = 8, 64 and 256, compared bit for bit;
+  - the compiled body S of one linear and one quadratic layer at n = 8,
+    64 and 256, compared bit for bit (a tree that keeps the body as
+    per-layer blocks records its one block, which is S);
   - every answer, or the refusal's type and message, of random free,
     post-Clifford and conjugated circuits with linear and quadratic
     layers at n = 2..12, compared to 1e-12;
@@ -19,10 +20,12 @@ The record holds
   - the refusal's type and message of bodies whose generator is too
     large or not finite, and the CLI's exit code and error line on each;
   - a fixed CLI sweep: every README command, each subcommand on each
-    fixture, and malformed command lines and input files (written to a
-    temporary directory), each recorded as (exit code, or the type of
-    the exception or SystemExit that escaped, stdout, stderr); diff
-    lists each command whose record changed.
+    fixture, malformed command lines and input files and a circuit whose
+    every query is refused (written to a temporary directory), each
+    recorded as (exit code, or the type of the exception or SystemExit
+    that escaped, stdout, stderr); diff compares the numbers after
+    value=, probability= and max_deviation= to 1e-12 and the rest as
+    text, and lists each command whose record changed.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 SEED = 2108
-ROTATION_SIZES = (8, 64, 256)
+BODY_SIZES = (8, 64, 256)
 CIRCUIT_SIZES = range(2, 13)
 CIRCUITS_PER_SIZE = 6
 QUERIES_PER_CIRCUIT = 6
@@ -141,7 +144,8 @@ def _cli(c, argv):
 
 
 def _malformed_inputs():
-    """File name -> contents of each malformed input of the CLI sweep."""
+    """File name -> contents of each malformed or wholly refused input of
+    the CLI sweep."""
     def quadratic(i, j):
         return {
             "n": 2,
@@ -155,6 +159,29 @@ def _malformed_inputs():
         "no_n.json": {"input": {"kind": "basis", "bits": "00"}, "layers": []},
         "zero_qubits.json": {"n": 0, "input": {"kind": "basis", "bits": ""}, "layers": []},
         "bits_2.json": {"n": 2, "input": {"kind": "basis", "bits": "20"}, "layers": []},
+        "fractional_index.json": {
+            "n": 3,
+            "input": {"kind": "basis", "bits": "010"},
+            "layers": [
+                {
+                    "kind": "matchgate",
+                    "qubit": 1.7,
+                    "coeffs": {"a0": 0.1, "a1": 0.4, "b1": 0.0, "b2": 0.2, "d1": 0.3, "d2": -0.1},
+                },
+                {"kind": "quadratic", "h": [{"i": 0.9, "j": 2.5, "v": 0.3}]},
+            ],
+        },
+        # a linear layer under a general conjugation: every query refused
+        "general_linear.json": {
+            "n": 2,
+            "input": {"kind": "basis", "bits": "01"},
+            "structure": "conjugated",
+            "layers": [
+                {"kind": "clifford", "gate": "H", "qubits": [0]},
+                {"kind": "linear", "b": [0.3, -0.2, 0.1, 0.4]},
+                {"kind": "clifford", "gate": "H", "qubits": [0]},
+            ],
+        },
         "unknown_layer.json": {
             "n": 2,
             "input": {"kind": "basis", "bits": "00"},
@@ -200,6 +227,7 @@ def _cli_commands():
     return commands + [
         "expect fixtures/free_n3.json",
         "expect fixtures/free_n3.json --pauli ZII --d-max x",
+        "oracle-check fixtures/free_n3.json --queries 0",
         "expect {tmp}/no_such_file.json --pauli ZII",
         "simulate fixtures/free_n3.json",
         "classify",
@@ -241,17 +269,19 @@ def dump(path):
     from matchcliff.gaussian import MarginalQuery
     from matchcliff.pauli import PauliString
 
-    record = {"rotations": {}, "answers": [], "grants": [], "refusals": {}, "cli": _cli_sweep()}
+    record = {"body": {}, "answers": [], "grants": [], "refusals": {}, "cli": _cli_sweep()}
     rng = np.random.default_rng(SEED)
-    for n in ROTATION_SIZES:
+    for n in BODY_SIZES:
         h = rng.normal(size=(2 * n, 2 * n)) * (0.3 / np.sqrt(n))
         for kind, lay in (
             ("linear", LinearLayer(tuple(rng.normal(size=2 * n) * 0.4))),
             ("quadratic", QuadraticLayer(tuple(map(tuple, h - h.T)))),
         ):
             cc = simulator.compile_circuit(Circuit(n, BasisInput((0,) * n), (lay,), "free"))
-            ((offset, r),) = cc.rotations
-            record["rotations"][kind, n] = (offset, r)
+            body = getattr(cc, "body", None)
+            if body is None:
+                ((_, body),) = cc.rotations
+            record["body"][kind, n] = np.array(body)
     for n, inp, layers, structure in _circuits():
         c = Circuit(n, inp, layers, structure)
         z0 = PauliString.single(n, 0, "Z")
@@ -295,17 +325,32 @@ def _compare(pairs):
     return worst, refused, differ
 
 
+# the numbers of the CLI's answers, in key=value and in JSON output
+_NUMBER = re.compile(r'((?:value|probability|max_deviation)(?:=|": ))([^\s,}]+)')
+
+
+def _same_cli(a, b) -> bool:
+    """Whether two CLI records agree: the same exit code and stderr, and
+    stdout the same text once the numbers _NUMBER finds agree to 1e-12."""
+    if a is None or b is None or a[0::2] != b[0::2]:
+        return a == b
+    if _NUMBER.sub(r"\1#", a[1]) != _NUMBER.sub(r"\1#", b[1]):
+        return False
+    pairs = zip(_NUMBER.findall(a[1]), _NUMBER.findall(b[1]))
+    return all(abs(float(x) - float(y)) <= 1e-12 for (_, x), (_, y) in pairs)
+
+
 def diff(old_path, new_path) -> int:
     with open(old_path, "rb") as fh:
         old = pickle.load(fh)
     with open(new_path, "rb") as fh:
         new = pickle.load(fh)
     bad = 0
-    for key, (offset, r) in old["rotations"].items():
-        new_offset, new_r = new["rotations"][key]
-        same = offset == new_offset and np.array_equal(r, new_r)
+    for key, body in old["body"].items():
+        new_body = new["body"][key]
+        same = np.array_equal(body, new_body)
         bad += not same
-        print(f"rotation {key}: max diff {np.max(np.abs(r - new_r)):.1e}, bit-equal {same}")
+        print(f"body {key}: max diff {np.max(np.abs(body - new_body)):.1e}, bit-equal {same}")
     worst, refused, differ = _compare(zip(old["answers"], new["answers"], strict=True))
     bad += worst > 1e-12 or bool(differ)
     print(
@@ -338,7 +383,7 @@ def diff(old_path, new_path) -> int:
         if not same:
             print(f"  old {outcome}\n  new {new['refusals'][name]}")
             bad += 1
-    changed = [c for c, rec in old["cli"].items() if new["cli"].get(c) != rec]
+    changed = [c for c, rec in old["cli"].items() if not _same_cli(rec, new["cli"].get(c))]
     bad += bool(changed)
     print(f"cli: {len(old['cli'])} commands; records changed on {len(changed)}")
     for command in changed:
