@@ -98,14 +98,30 @@ class LinearLayer:
     b: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticLayer:
-    """exp(-i H), H = i sum_jk h_jk c_j c_k, h real antisymmetric."""
+    """exp(-i H), H = i sum_jk h_jk c_j c_k, h real antisymmetric.
 
-    h: tuple  # tuple of row tuples, 2n x 2n
+    h is kept once, as a read-only float copy of the rows it is given, so
+    the caller's array stays writeable.  Layers compare by value, and the
+    hash, taken once, is that of h's bytes with every -0.0 made 0.0, so
+    that equal layers hash alike."""
 
-    def h_matrix(self) -> np.ndarray:
-        return np.array(self.h, dtype=float)
+    h: np.ndarray  # 2n x 2n
+
+    def __post_init__(self):
+        h = np.array(self.h, dtype=float)
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_hash", hash((h.shape, (h + 0.0).tobytes())))
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticLayer):
+            return NotImplemented
+        return bool(np.array_equal(self.h, other.h))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -233,10 +249,9 @@ def _check_layer(lay, n: int):
         if len(lay.b) != 2 * n:
             raise CircuitParseError("linear layer needs 2n coefficients")
     elif isinstance(lay, QuadraticLayer):
-        h = lay.h_matrix()
-        if h.shape != (2 * n, 2 * n):
+        if lay.h.shape != (2 * n, 2 * n):
             raise CircuitParseError("quadratic layer needs a 2n x 2n matrix")
-        if not antisymmetry_defect(h) <= TOL.antisymmetry:  # a NaN entry fails it too
+        if not antisymmetry_defect(lay.h) <= TOL.antisymmetry:  # a NaN entry fails it too
             raise CircuitParseError("quadratic layer matrix must be antisymmetric")
     else:
         raise CircuitParseError(f"unknown layer {lay!r}")
@@ -288,7 +303,7 @@ def _layer_from_json(doc, n):
                 raise CircuitParseError(f"quadratic entry ({i}, {j}) out of range for 2n = {2 * n}")
             h[i, j] = v
             h[j, i] = -v
-        return QuadraticLayer(tuple(tuple(row) for row in h))
+        return QuadraticLayer(h)
     raise CircuitParseError(f"unknown layer kind {kind!r}")
 
 
@@ -337,7 +352,7 @@ def to_json_doc(c: Circuit) -> dict:
         elif isinstance(lay, LinearLayer):
             layers.append({"kind": "linear", "b": list(lay.b)})
         else:
-            h = lay.h_matrix()
+            h = lay.h
             ents = [
                 {"i": i, "j": j, "v": float(h[i, j])}
                 for i in range(h.shape[0])

@@ -89,17 +89,31 @@ class CovarianceMatrix:
 
 
 def evolve(c: CovarianceMatrix, s) -> CovarianceMatrix:
-    """gamma <- S gamma S^T, two GEMMs, for the body operator S: one
-    rotation of the covariance's Majoranas, orthogonal to within
-    TOL.orthogonality, that fixes Majorana 0."""
+    """gamma <- S gamma S^T for the body operator S: one rotation of the
+    covariance's Majoranas, orthogonal to within TOL.orthogonality, that
+    fixes Majorana 0.
+
+    A gamma whose only nonzeros are z_a = gamma[2a, 2a+1] = -gamma[2a+1,
+    2a], as every basis input's is, gives
+        S gamma S^T = sum_a z_a (s_2a s_2a+1^T - s_2a+1 s_2a^T) = Y - Y^T,
+    with s_j column j of S and Y = (S[:, 0::2] z) S[:, 1::2]^T: one
+    product of half the work of one GEMM, and an exactly antisymmetric
+    result.  Any other gamma costs two GEMMs."""
     s = linalg.check_rotation(s)
-    m = c.gamma.shape[0]
+    g = c.gamma
+    m = g.shape[0]
     if s.shape != (m, m):
         raise FrameworkError(f"body operator shape {s.shape} does not fit the covariance")
     e0 = np.eye(1, m)[0]
     if not max(np.max(np.abs(s[0] - e0)), np.max(np.abs(s[:, 0] - e0))) <= TOL.orthogonality:
         raise FrameworkError("the body operator must leave Majorana 0 fixed")
-    return CovarianceMatrix(s @ c.gamma @ s.T, c.n)
+    z = g.diagonal(1)[::2]
+    if np.count_nonzero(g) == 2 * np.count_nonzero(z) and np.array_equal(
+        g.diagonal(-1)[::2], -z
+    ):
+        y = (s[:, 0::2] * z) @ s[:, 1::2].T
+        return CovarianceMatrix(y - y.T, c.n)
+    return CovarianceMatrix(s @ g @ s.T, c.n)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -1,5 +1,15 @@
 """Dense real kernels: Pfaffians, determinants, orthogonal exponentials
-of antisymmetric matrices and block rotations."""
+of antisymmetric matrices and block rotations.
+
+The exponential of an antisymmetric A = 4 h takes a closed form at order
+4 (so(4) = su(2) + su(2)) and a Taylor polynomial of degree 20 at every
+other order, evaluated by Paterson-Stockmeyer in powers of A^4: seven
+matrix products, no linear solve.  A is normal and A^4 symmetric, so
+||A||_2 <= ||A^4||_1^(1/4), which A^4, already formed, gives in O(m^2);
+A is scaled by 2^-s until that bound is at most 1.5, where the Taylor
+remainder is below the unit roundoff, and the polynomial is squared s
+times.
+"""
 from __future__ import annotations
 
 import math
@@ -7,7 +17,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 
@@ -191,16 +200,55 @@ def _expm_so4(a: np.ndarray) -> np.ndarray:
     return (outer.reshape(count, 16) @ _SO4_PRODUCTS).reshape(count, 4, 4)
 
 
+# Taylor degree 20 = 4 * 5: the terms c_k A^k, c_k = 1/k!, fall in five
+# chunks of four, sum_j c_{4k+j} A^j (j = 0..3), plus c_20 A^4.  Up to
+# ||A||_2 = _TAYLOR_THETA the remainder, at most theta^21 / 21! /
+# (1 - theta / 22) = 1.05e-16, is below the unit roundoff 2^-53.
+_TAYLOR_THETA = 1.5
+_TAYLOR_COEFFS = np.array([1.0 / math.factorial(k) for k in range(21)])
+_TAYLOR_CHUNKS = _TAYLOR_COEFFS[:20].reshape(5, 4)
+
+
+def _expm_taylor(a: np.ndarray) -> np.ndarray:
+    """exp(a) for an (L, m, m) stack of antisymmetric a, with one scaling
+    s for the whole stack, the least with ||A^4||_1^(1/4) / 2^s <=
+    _TAYLOR_THETA: the Taylor polynomial of A = a / 2^s, evaluated as
+        B_0 + A^4 (B_1 + A^4 (B_2 + A^4 (B_3 + A^4 (B_4 + c_20 A^4)))),
+    B_k the chunks of _TAYLOR_CHUNKS, squared s times."""
+    m = a.shape[-1]
+    powers = np.empty((3,) + a.shape)  # A, A^2, A^3, each scaled
+    a2 = np.matmul(a, a, out=powers[1])
+    a4 = a2 @ a2
+    bound = float(np.max(np.abs(a4).sum(axis=-2), initial=0.0)) ** 0.25
+    s = math.ceil(math.log2(bound / _TAYLOR_THETA)) if bound > _TAYLOR_THETA else 0
+    np.multiply(a, 2.0**-s, out=powers[0])
+    a2 *= 4.0**-s
+    a4 *= 16.0**-s
+    np.matmul(powers[0], a2, out=powers[2])
+    # the chunks less their constant terms, which go on the diagonal
+    chunks = np.tensordot(_TAYLOR_CHUNKS[:, 1:], powers, axes=1)
+    r = _TAYLOR_COEFFS[20] * a4
+    for k in reversed(range(5)):
+        if k < 4:
+            r = a4 @ r
+        r += chunks[k]
+        r.reshape(-1, m * m)[:, :: m + 1] += _TAYLOR_CHUNKS[k, 0]
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def expm_antisymmetric(h: np.ndarray) -> np.ndarray:
     """R = exp(4 h) for antisymmetric h, one (m, m) matrix or an (L, m, m)
     stack, in h's shape; each R is polished to orthogonal.  The factor 4
     takes the generator h of exp(-i H), H = i sum_jk h_jk c_j c_k, to its
     Majorana rotation.
 
-    Order 4 takes the closed form of _expm_so4, every other order
-    scipy.linalg.expm.  A generator whose size times its order and the
-    machine epsilon exceeds the rotation tolerance is refused: the rounding
-    error of its exponential would exceed that tolerance.
+    Order 4 takes the closed form of _expm_so4, every other order the
+    scaled Taylor polynomial of _expm_taylor.  A generator whose size
+    times its order and the machine epsilon exceeds the rotation tolerance
+    is refused: the rounding error of its exponential would exceed that
+    tolerance.
     """
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
@@ -214,7 +262,7 @@ def expm_antisymmetric(h: np.ndarray) -> np.ndarray:
             "its exponential would be inaccurate or non-finite"
         )
     stack = h if h.ndim == 3 else h[None]
-    r = _expm_so4(stack) if m == 4 else scipy.linalg.expm(stack)
+    r = _expm_so4(stack) if m == 4 else _expm_taylor(stack)
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite entries in the exponential")
     drifted = _orthogonality_defect(r) > TOL.orthogonality_polish

@@ -213,7 +213,7 @@ def apply_circuit(circuit, state: DenseState | None = None) -> DenseState:
             state = DenseState(n, unitary_from_hamiltonian(terms, n) @ state.amp)
         elif isinstance(lay, QuadraticLayer):
             jw = jordan_wigner(n)
-            h = lay.h_matrix()
+            h = lay.h
             hmat = np.zeros((2**n, 2**n), dtype=complex)
             for i in range(2 * n):
                 for j in range(2 * n):

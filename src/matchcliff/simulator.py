@@ -170,7 +170,7 @@ def layer_generator(lay, n: int) -> np.ndarray:
         h[1, 2:] = -b / 2
         h[2:, 1] = b / 2
     elif isinstance(lay, QuadraticLayer):
-        h[2:, 2:] = lay.h_matrix()
+        h[2:, 2:] = lay.h
     else:
         raise TypeError(f"no dense generator for {lay!r}")
     return h
@@ -262,7 +262,8 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
         extra["post_inverse"] = tableau.invert(c.post_tableau())
     # a matchgate rotates only its four Majoranas, and the body's matchgates
     # are exponentiated in one stacked call; a linear or quadratic layer
-    # rotates every Majorana; one pass multiplies the blocks into S
+    # rotates every Majorana.  S starts as the first block, written into
+    # the identity, and one pass multiplies the others onto it
     layers = c.body_layers()
     coeffs = [lay.coeffs for lay in layers if isinstance(lay, MatchgateLayer)]
     local = iter(
@@ -276,7 +277,12 @@ def compile_circuit(c: Circuit) -> CompiledCircuit:
         else (0, linalg.expm_antisymmetric(layer_generator(lay, c.n)))
         for lay in layers
     ]
-    body = linalg.rotate_rows(np.eye(2 * c.n + 2), blocks)
+    body = np.eye(2 * c.n + 2)
+    if blocks:
+        offset, r = blocks[0]
+        rows = slice(offset, offset + len(r))
+        body[rows, rows] = r
+    body = linalg.rotate_rows(body, blocks[1:])
     body.flags.writeable = False
     return CompiledCircuit(c, _grants(c, cls), body, **extra)
 

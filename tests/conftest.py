@@ -38,7 +38,7 @@ def random_matchgate_layers(rng, n, count, scale=0.6):
 def dense_matchgate_rotation(lay, n):
     """(2n+2) x (2n+2) rotation of a matchgate layer: its 4x4 generator
     embedded at Majorana 2k+2, exponentiated at full order, where
-    expm_antisymmetric takes scipy.linalg.expm rather than the so(4)
+    expm_antisymmetric takes its Taylor kernel rather than the so(4)
     closed form that compile uses."""
     from matchcliff.linalg import expm_antisymmetric
     from matchcliff.simulator import matchgate_generator

@@ -209,6 +209,33 @@ def test_quadratic_layer_with_nan_is_refused():
         Circuit(2, BasisInput((0, 0)), (QuadraticLayer(tuple(map(tuple, h))),), "free")
 
 
+def test_quadratic_layer_keeps_one_read_only_array():
+    """A layer built from an ndarray builds and compiles into a circuit;
+    it keeps a read-only copy, compares by value and hashes -0.0 as 0.0;
+    the NaN and non-antisymmetric refusals hold for arrays as for rows."""
+    from matchcliff.simulator import compile_circuit
+
+    h = np.zeros((4, 4))
+    h[0, 3], h[3, 0] = 0.2, -0.2
+    lay = QuadraticLayer(h)
+    c = Circuit(2, BasisInput((0, 1)), (lay,))
+    assert compile_circuit(c).body.shape == (6, 6)
+    assert lay == QuadraticLayer(tuple(map(tuple, h)))
+    assert not lay.h.flags.writeable and h.flags.writeable
+    with pytest.raises(ValueError):
+        lay.h[0, 3] = 1.0
+    negative = np.zeros((4, 4))
+    negative[1, 2], negative[2, 1] = -0.0, -0.0
+    zero, minus = QuadraticLayer(np.zeros((4, 4))), QuadraticLayer(negative)
+    assert zero == minus and hash(zero) == hash(minus)
+    assert zero != lay
+    with pytest.raises(CircuitParseError, match="antisymmetric"):
+        Circuit(2, BasisInput((0, 0)), (QuadraticLayer(np.eye(4)),))
+    h[0, 1], h[1, 0] = np.nan, np.nan
+    with pytest.raises(CircuitParseError, match="antisymmetric"):
+        Circuit(2, BasisInput((0, 0)), (QuadraticLayer(h),))
+
+
 def test_basis_input_refuses_bits_other_than_0_and_1():
     """A bit of 2 once read as 1 on the covariance route and as -3 in the
     restricted route's input table."""

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import warnings
 
@@ -908,9 +909,11 @@ def test_large_marginals_equal_the_log_determinant_at_n192(swaps):
 
 
 def test_body_blocks_are_applied_once_per_compile(monkeypatch):
-    """compile_circuit multiplies the body's blocks into S with one
-    rotate_rows pass; a query that builds the readout, folded or not, or
-    a restricted sum reads S and applies no block."""
+    """compile_circuit starts S from the body's first block and multiplies
+    the others onto it with one rotate_rows pass, so a one-layer dense
+    body's S is that layer's R bit for bit; a query that builds the
+    readout, folded or not, or a restricted sum reads S and applies no
+    block."""
     calls = []
     rotate_rows = linalg.rotate_rows
 
@@ -922,18 +925,25 @@ def test_body_blocks_are_applied_once_per_compile(monkeypatch):
     compile_circuit.cache_clear()
     rng = np.random.default_rng(41)
     n = 5
-    body = random_matchgate_layers(rng, n, 6) + [random_quadratic_layer(rng, n)]
+    matchgates = random_matchgate_layers(rng, n, 6)
+    dense = random_quadratic_layer(rng, n)
     swaps = random_clifford_gates(rng, n, 2 * n, names=("SWAP",))
     general = random_clifford_gates(rng, n, 2 * n, names=("H", "S", "CNOT"))
-    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+    for body, inp in itertools.product(
+        (matchgates + [dense], [dense] + matchgates, [dense]),
+        (random_basis_input(rng, n), random_product_input(rng, n)),
+    ):
         for c in (
             Circuit(n, inp, tuple(body), "free"),
             Circuit(n, inp, tuple(swaps + body + invert_clifford_gates(swaps)), "conjugated"),
             Circuit(n, inp, tuple(general + body + invert_clifford_gates(general)), "conjugated"),
         ):
             calls.clear()
-            compile_circuit(c)
-            assert calls == [len(body)]
+            cc = compile_circuit(c)
+            assert calls == [len(body) - 1]
+            if body == [dense]:
+                r = linalg.expm_antisymmetric(simulator.layer_generator(dense, n))
+                assert np.array_equal(cc.body, r)
             ref = oracle.apply_circuit(c)
             z = PauliString.single(n, 1, "Z")
             want = oracle.expectation(ref, z).real
@@ -942,7 +952,27 @@ def test_body_blocks_are_applied_once_per_compile(monkeypatch):
             if classify_circuit(c).flags & {"PIBO", "CIBO"}:
                 got = run_marginal(c, MarginalQuery((0, 3), (1, 0)))
                 assert abs(got - oracle.marginal(ref, (0, 3), (1, 0))) <= 1e-9
-            assert calls == [len(body)]
+            assert calls == [len(body) - 1]
+
+
+def test_basis_readout_is_one_pair_form_product():
+    """A basis input's covariance is nonzero only on the pairs (2a, 2a+1),
+    so its readout is Y - Y^T, Y = (S[:, 0::2] z) S[:, 1::2]^T: the
+    two-GEMM S gamma S^T to 1e-15 at n = 64 under a dense layer, with a
+    kept antisymmetry defect of exactly 0.0.  A product input's readout
+    is the two-GEMM product itself."""
+    rng = np.random.default_rng(62)
+    n = 64
+    for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
+        c = Circuit(n, inp, (random_quadratic_layer(rng, n),), "free")
+        cc = compile_circuit(c)
+        gamma = gaussian.product_state_covariance(inp).gamma
+        want = cc.body @ gamma @ cc.body.T
+        if isinstance(inp, BasisInput):
+            assert np.max(np.abs(cc.readout.gamma - want)) <= 1e-15
+            assert cc.readout.antisymmetry_defect == 0.0
+        else:
+            assert np.array_equal(cc.readout.gamma, want)
 
 
 @pytest.mark.parametrize("names", [("SWAP",), ("SWAP", "CZ")], ids=["swap", "cz_swap"])
