@@ -269,6 +269,8 @@ def _index(value, what: str) -> int:
 
 
 def _input_from_json(doc, n):
+    if not isinstance(doc, dict):
+        raise CircuitParseError(f"input must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "basis":
         bits = doc["bits"]
@@ -284,6 +286,8 @@ def _input_from_json(doc, n):
 
 
 def _layer_from_json(doc, n):
+    if not isinstance(doc, dict):
+        raise CircuitParseError(f"layer must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "clifford":
         return CliffordLayer(doc["gate"], tuple(_index(q, "clifford qubit") for q in doc["qubits"]))

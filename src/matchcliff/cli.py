@@ -4,10 +4,11 @@ Subcommands: expect, marginal, classify (a circuit file or --encoding),
 oracle-check.  Output is key=value lines (or one JSON object with
 --json).  main alone maps an error to its exit code and one error= line:
 1 for an input error (a malformed command line or file, a fractional
-index, a circuit whose evolution is not finite, an out-of-range --d-max
-or a --queries below 1), 2 for a query that the circuit's grants refuse
-(such as any expectation on a conjugated circuit with a linear layer,
-or an oracle-check whose every sampled query is refused).  oracle-check
+index, a circuit whose evolution is not finite, an out-of-range --d-max,
+a --queries below 1 or a --tolerance that is negative or not finite), 2
+for a query that the circuit's grants refuse (such as any expectation on
+a conjugated circuit with a linear layer, or an oracle-check whose every
+sampled query is refused).  oracle-check
 prints its record and exits 3 when an answer deviates from the dense
 oracle by more than --tolerance.  The printed class and expect's
 method= are read from the grants that compile decided.
@@ -115,6 +116,8 @@ def cmd_classify(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.queries < 1:
         raise ValueError(f"--queries must be at least 1, got {args.queries}")
+    if not 0.0 <= args.tolerance < np.inf:
+        raise ValueError(f"--tolerance must be finite and at least 0, got {args.tolerance}")
     circ = circuits.load(args.file)
     if circ.n > oracle.SIZE_CAP:
         raise circuits.CircuitParseError(
@@ -148,7 +151,8 @@ def cmd_oracle_check(args) -> int:
                 continue
             want = oracle.marginal(ref, qubits, bits)
         checked += 1
-        max_dev = max(max_dev, abs(got - want))
+        # np.maximum keeps a NaN deviation, which then fails the check
+        max_dev = np.maximum(max_dev, abs(got - want))
     if checked == 0:
         raise simulator.UnsupportedQuery(
             f"the circuit's grants refuse all {args.queries} sampled queries"
@@ -157,7 +161,7 @@ def cmd_oracle_check(args) -> int:
     _emit(
         {
             "queries_checked": checked,
-            "max_deviation": max_dev,
+            "max_deviation": float(max_dev),
             "status": "pass" if ok else "fail",
         },
         args.json,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,29 +59,32 @@ class MarginalQuery:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
+    """A covariance, exactly antisymmetric: gamma == -gamma^T bit for bit,
+    so no query scans it.  A defect max |gamma_jk + gamma_kj| above
+    TOL.antisymmetry, or NaN, is refused; a nonzero one within it, which
+    only a hand-built gamma has, is kept as (gamma - gamma^T) / 2."""
+
     # (2n+2, 2n+2), the ancilla pair first; kept as a read-only copy, so
     # the caller's array stays writeable
     gamma: np.ndarray
     n: int  # logical qubit count
-    # max |gamma_jk + gamma_kj|, kept so that readout rescans only a
-    # covariance that is not antisymmetric to well within TOL.antisymmetry
-    antisymmetry_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.array(self.gamma, dtype=float)
         defect = linalg.antisymmetry_defect(g)
-        if not defect <= TOL.antisymmetry * 10:
+        if not defect <= TOL.antisymmetry:
             raise linalg.NotAntisymmetric(
-                f"covariance max |gamma_jk + gamma_kj| = {defect:.3e}"
+                f"covariance max |gamma_jk + gamma_kj| = {defect:.3e} > {TOL.antisymmetry:.1e}"
             )
         m = 2 * self.n + 2
         if g.shape != (m, m):
             raise FrameworkError(f"gamma shape {g.shape} does not fit {self.n} qubits")
         if not np.max(np.abs(g)) <= 1.0 + TOL.covariance_entry:
             raise InternalConsistencyError("covariance entries outside [-1, 1]")
+        if defect:
+            g = 0.5 * (g - g.T)
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "antisymmetry_defect", defect)
 
     def purity_defect(self) -> float:
         m = self.gamma.shape[0]
@@ -93,12 +96,12 @@ def evolve(c: CovarianceMatrix, s) -> CovarianceMatrix:
     covariance's Majoranas, orthogonal to within TOL.orthogonality, that
     fixes Majorana 0.
 
-    A gamma whose only nonzeros are z_a = gamma[2a, 2a+1] = -gamma[2a+1,
-    2a], as every basis input's is, gives
-        S gamma S^T = sum_a z_a (s_2a s_2a+1^T - s_2a+1 s_2a^T) = Y - Y^T,
-    with s_j column j of S and Y = (S[:, 0::2] z) S[:, 1::2]^T: one
-    product of half the work of one GEMM, and an exactly antisymmetric
-    result.  Any other gamma costs two GEMMs."""
+    gamma = U - U^T with U its strict upper triangle, so S gamma S^T =
+    Y - Y^T with Y = S U S^T: the same two GEMMs as S gamma S^T, and a
+    result that is exactly antisymmetric.  A gamma whose only nonzeros
+    are z_a = gamma[2a, 2a+1], as every basis input's is, has
+        Y = sum_a z_a s_2a s_2a+1^T = (S[:, 0::2] z) S[:, 1::2]^T,
+    with s_j column j of S: one product of half the work of one GEMM."""
     s = linalg.check_rotation(s)
     g = c.gamma
     m = g.shape[0]
@@ -108,12 +111,11 @@ def evolve(c: CovarianceMatrix, s) -> CovarianceMatrix:
     if not max(np.max(np.abs(s[0] - e0)), np.max(np.abs(s[:, 0] - e0))) <= TOL.orthogonality:
         raise FrameworkError("the body operator must leave Majorana 0 fixed")
     z = g.diagonal(1)[::2]
-    if np.count_nonzero(g) == 2 * np.count_nonzero(z) and np.array_equal(
-        g.diagonal(-1)[::2], -z
-    ):
+    if np.count_nonzero(g) == 2 * np.count_nonzero(z):
         y = (s[:, 0::2] * z) @ s[:, 1::2].T
-        return CovarianceMatrix(y - y.T, c.n)
-    return CovarianceMatrix(s @ g @ s.T, c.n)
+    else:
+        y = s @ np.triu(g, 1) @ s.T
+    return CovarianceMatrix(y - y.T, c.n)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -159,14 +161,6 @@ def product_state_covariance(inp) -> CovarianceMatrix:
     return CovarianceMatrix(g - g.T, n)
 
 
-def _rescan(c: CovarianceMatrix, sub: np.ndarray) -> None:
-    """Check a submatrix read from c for antisymmetry, unless c's kept
-    defect is within half of TOL.antisymmetry: below that, a submatrix,
-    even with outcome signs added, cannot exceed the tolerance."""
-    if c.antisymmetry_defect > TOL.antisymmetry / 2:
-        linalg.check_antisymmetric(sub)
-
-
 @functools.lru_cache(maxsize=64)
 def chain_map(n: int) -> MajoranaMap:
     """The map of n-qubit Paulis p to the covariance's Majoranas, those of
@@ -184,8 +178,8 @@ def pauli_expectation(
     compiled circuit's pull-back through its Clifford included; by
     default chain_map(n), embed_l12(p), a product of an even number
     2k of Majoranas.  (-i)^k <c_I> = Pf(Gamma_I), so
-    <p> = i^(phase + k) Pf(Gamma_I), with Gamma_I rescanned for
-    antisymmetry under the rule of marginal_probability.
+    <p> = i^(phase + k) Pf(Gamma_I).  Gamma_I is a gather of the exactly
+    antisymmetric gamma, so the Pfaffian takes it unscanned.
     """
     if majoranas is None:
         if p.n != c.n:
@@ -195,7 +189,6 @@ def pauli_expectation(
     if not p.is_hermitian():
         raise ValueError("expectation of a non-Hermitian string")
     sub = c.gamma.take(indices, axis=0).take(indices, axis=1)
-    _rescan(c, sub)
     val = 1j ** ((phase + len(indices) // 2) % 4) * linalg.pfaffian(sub, check=False)
     if not abs(val.imag) <= TOL.expectation_imag:
         raise InternalConsistencyError(
@@ -233,10 +226,9 @@ def marginal_probability(c: CovarianceMatrix, q: MarginalQuery) -> float:
 
     One query costs one gather of Gamma_S, by two takes, and one in-place
     LAPACK LU (linalg.log_abs_det_half) of its transpose with the signs added;
-    the halving is folded into the LU's diagonal.  Gamma_S + D is
-    rescanned for antisymmetry only when the covariance's own defect
-    exceeds half of TOL.antisymmetry: below that, rounding the sign adds
-    cannot take the submatrix's defect past the tolerance.
+    the halving is folded into the LU's diagonal.  Gamma_S + D is not
+    scanned for antisymmetry: Gamma_S is exactly antisymmetric, and
+    adding s to an entry and subtracting it from its mirror keeps it so.
     """
     qubits = q.qubits
     if qubits and not (min(qubits) >= 0 and max(qubits) < c.n):
@@ -250,7 +242,6 @@ def marginal_probability(c: CovarianceMatrix, q: MarginalQuery) -> float:
     flat = sub.reshape(-1)
     flat[1 :: 4 * k + 2] += signs
     flat[2 * k :: 4 * k + 2] -= signs
-    _rescan(c, sub)
     prob = math.exp(0.5 * linalg.log_abs_det_half(sub.T))
     if not -TOL.probability <= prob <= 1.0 + TOL.probability:
         raise InternalConsistencyError(f"probability {prob} outside [0, 1]")

@@ -129,6 +129,9 @@ def test_bad_documents_raise_parse_errors():
         # an index of 2n raised IndexError; -1 wrapped silently to h[5, 0]
         lambda d: d["layers"].append({"kind": "quadratic", "h": [{"i": 0, "j": 6, "v": 0.1}]}),
         lambda d: d["layers"].append({"kind": "quadratic", "h": [{"i": -1, "j": 0, "v": 0.1}]}),
+        # an input or a layer that is not an object raised AttributeError
+        lambda d: d.update(input="basis"),
+        lambda d: d["layers"].append(5),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)

@@ -309,7 +309,10 @@ def test_oracle_check_exit_codes(capsys, monkeypatch):
     """status=fail exited 1, the input-error code, and --queries 0 ended
     in queries_checked=0, status=fail.  Now --queries below 1 is an input
     error, and an answer off the oracle by more than --tolerance prints
-    the record and exits EXIT_CHECK_FAILED, 3."""
+    the record and exits EXIT_CHECK_FAILED, 3.  --tolerance nan and -1
+    failed every check and inf passed any; a tolerance that is negative
+    or not finite is now an input error.  max(max_dev, nan) kept max_dev,
+    so a NaN answer passed; it now fails."""
     from matchcliff import simulator
 
     path = f"{FIXTURES}/free_n3.json"
@@ -317,6 +320,10 @@ def test_oracle_check_exit_codes(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "oracle-check", path, "--queries", queries)
         assert (code, out) == (1, "")
         assert err == f"error=--queries must be at least 1, got {queries}\n"
+    for tolerance in ("nan", "-1", "inf", "-inf"):
+        code, out, err = run_cli(capsys, "oracle-check", path, f"--tolerance={tolerance}")
+        assert (code, out) == (1, "")
+        assert err == f"error=--tolerance must be finite and at least 0, got {float(tolerance)}\n"
     code, out, _ = run_cli(capsys, "oracle-check", path, "--queries", "10")
     assert code == cli.EXIT_OK and parse_kv(out)["status"] == "pass"
     marginal = simulator.run_marginal
@@ -327,6 +334,10 @@ def test_oracle_check_exit_codes(capsys, monkeypatch):
     assert pairs["status"] == "fail" and float(pairs["max_deviation"]) >= 1e-6
     code, out, _ = run_cli(capsys, "oracle-check", path, "--queries", "10", "--tolerance", "1e-3")
     assert code == 0 and parse_kv(out)["status"] == "pass"
+    monkeypatch.setattr(simulator, "run_marginal", lambda c, q: float("nan"))
+    code, out, err = run_cli(capsys, "oracle-check", path, "--queries", "10", "--tolerance", "1e-3")
+    assert code == cli.EXIT_CHECK_FAILED and err == ""
+    assert parse_kv(out) == {"queries_checked": "10", "max_deviation": "nan", "status": "fail"}
 
 
 def test_fractional_index_in_a_circuit_file_is_an_input_error(capsys, tmp_path):
@@ -446,6 +457,32 @@ def test_quadratic_entry_out_of_range_is_input_error(capsys, tmp_path, i, j):
     path.write_text(json.dumps(doc))
     for argv in (("expect", "--pauli", "ZZ"), ("marginal", "--qubits", "0", "--bits", "0")):
         assert_one_error_line(*run_cli(capsys, argv[0], str(path), *argv[1:]))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 2, "input": "basis", "layers": []}, "input must be a JSON object, got 'basis'"),
+        (
+            {"n": 2, "input": {"kind": "basis", "bits": "00"}, "layers": [5]},
+            "layer must be a JSON object, got 5",
+        ),
+    ],
+    ids=["input", "layer"],
+)
+def test_non_object_entries_in_a_circuit_file_are_input_errors(capsys, tmp_path, doc, message):
+    """An input or a layer that is not a JSON object escaped as an
+    AttributeError traceback: 'str' object has no attribute 'get'."""
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ("expect", "--pauli", "ZZ"),
+        ("marginal", "--qubits", "0", "--bits", "0"),
+        ("classify",),
+        ("oracle-check",),
+    ):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (1, "", f"error={message}\n")
 
 
 def test_mixed_length_encoding_fixture_lists_the_violation(capsys, tmp_path):

@@ -342,15 +342,18 @@ def test_marginal_kernel_reads_the_given_pair_table():
             marginal_probability(cov, MarginalQuery(qubits, (0,) * len(qubits)))
 
 
-def test_marginal_checks_the_antisymmetry_of_each_submatrix():
-    """The covariance admits 10x the antisymmetry tolerance; each marginal
-    checks its own Gamma_S + D at 1x, and only the qubits it reads."""
-    g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
-    g[4, 6] = 5e-12  # between qubits 1 and 2, unmatched by g[6, 4]
-    cov = CovarianceMatrix(g, 3)
-    assert marginal_probability(cov, MarginalQuery((0, 1), (0, 1))) == pytest.approx(1.0)
-    with pytest.raises(linalg.NotAntisymmetric):
-        marginal_probability(cov, MarginalQuery((1, 2), (1, 0)))
+def test_covariance_refuses_a_defect_past_the_tolerance_at_construction():
+    """The constructor applies check_antisymmetric's rule, TOL.antisymmetry
+    at 1x: a defect past it, or a NaN entry, is refused when the
+    covariance is built, not query by query."""
+    g = product_state_covariance(BasisInput((0, 1, 0))).gamma
+    for bad in (2 * linalg.TOL.antisymmetry, 5e-12, np.nan):
+        off = g.copy()
+        off[4, 6] = bad  # between qubits 1 and 2, unmatched by off[6, 4]
+        with pytest.raises(linalg.NotAntisymmetric):
+            CovarianceMatrix(off, 3)
+        with pytest.raises(linalg.NotAntisymmetric):
+            linalg.check_antisymmetric(off)
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])
@@ -370,17 +373,16 @@ def test_impossible_outcome_on_a_basis_input_is_exactly_zero(n):
 
 def test_marginal_on_a_within_tolerance_covariance_makes_one_lu_and_no_rescan(monkeypatch):
     """Counters on the antisymmetry scan, its check and the LU, with
-    numpy's slogdet refused: only a covariance whose kept defect exceeds
-    half the tolerance has its submatrix scanned."""
+    numpy's slogdet refused: a marginal on an evolved covariance, or on a
+    hand-built one within the tolerance, makes one dgetrf and no scan."""
     import scipy.linalg.lapack
 
     rng = np.random.default_rng(8)
     n = 6
     h = rng.normal(size=(2 * n, 2 * n))
     cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0, 1, 0))), _logical(expm_antisymmetric(h - h.T)))
-    assert cov.antisymmetry_defect <= linalg.TOL.antisymmetry / 2
     g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
-    g[4, 6] = 5e-12
+    g[4, 6] = linalg.TOL.antisymmetry / 2
     loose = CovarianceMatrix(g, 3)
     calls = dict.fromkeys(("antisymmetry_defect", "check_antisymmetric", "dgetrf"), 0)
     for owner, name in (
@@ -397,27 +399,31 @@ def test_marginal_on_a_within_tolerance_covariance_makes_one_lu_and_no_rescan(mo
     for k in (1, 3, n):
         marginal_probability(cov, MarginalQuery(tuple(range(k)), (1,) * k))
     assert calls == {"antisymmetry_defect": 0, "check_antisymmetric": 0, "dgetrf": 3}
-    marginal_probability(loose, MarginalQuery((0, 1), (0, 1)))
-    assert calls == {"antisymmetry_defect": 1, "check_antisymmetric": 1, "dgetrf": 4}
+    assert marginal_probability(loose, MarginalQuery((1, 2), (1, 0))) == pytest.approx(1.0)
+    assert calls == {"antisymmetry_defect": 0, "check_antisymmetric": 0, "dgetrf": 4}
 
 
-def test_covariance_keeps_its_antisymmetry_defect():
+def test_covariance_keeps_the_antisymmetric_part_of_a_within_tolerance_defect():
+    """A defect at or below TOL.antisymmetry is admitted and kept as
+    (gamma - gamma^T) / 2, exactly antisymmetric; an exactly
+    antisymmetric gamma is kept bit for bit."""
     g = product_state_covariance(BasisInput((0, 1))).gamma
-    assert CovarianceMatrix(g, 2).antisymmetry_defect == 0.0
-    off = g.copy()
-    off[2, 5] = 4e-12
-    assert CovarianceMatrix(off, 2).antisymmetry_defect == 4e-12
-    off = g.copy()
-    off[2, 5] = 2e-11  # past the 10x the constructor admits
-    with pytest.raises(linalg.NotAntisymmetric):
-        CovarianceMatrix(off, 2)
+    assert np.array_equal(CovarianceMatrix(g, 2).gamma, g)
+    for defect in (4e-13, linalg.TOL.antisymmetry):
+        off = g.copy()
+        off[2, 5] = defect
+        want = g.copy()
+        want[2, 5], want[5, 2] = defect / 2, -defect / 2
+        assert np.array_equal(CovarianceMatrix(off, 2).gamma, want)
 
 
 def test_covariance_keeps_a_read_only_copy_of_the_callers_array():
     """The constructor made the caller's array read-only; it now keeps a
     read-only copy, and the caller's array stays writeable."""
     g = product_state_covariance(BasisInput((0, 1))).gamma.copy()
-    cov = CovarianceMatrix(g, 2)
-    assert g.flags.writeable and not cov.gamma.flags.writeable
-    g[2, 5] = 0.5
-    assert cov.gamma[2, 5] == 0.0
+    for defect in (0.0, 4e-13):  # kept as is, and as its antisymmetric part
+        g[2, 5] = defect
+        cov = CovarianceMatrix(g, 2)
+        assert g.flags.writeable and not cov.gamma.flags.writeable
+        g[2, 5] = 0.5
+        assert cov.gamma[2, 5] == defect / 2

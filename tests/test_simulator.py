@@ -957,10 +957,10 @@ def test_body_blocks_are_applied_once_per_compile(monkeypatch):
 
 def test_basis_readout_is_one_pair_form_product():
     """A basis input's covariance is nonzero only on the pairs (2a, 2a+1),
-    so its readout is Y - Y^T, Y = (S[:, 0::2] z) S[:, 1::2]^T: the
-    two-GEMM S gamma S^T to 1e-15 at n = 64 under a dense layer, with a
-    kept antisymmetry defect of exactly 0.0.  A product input's readout
-    is the two-GEMM product itself."""
+    so its readout is Y - Y^T, Y = (S[:, 0::2] z) S[:, 1::2]^T; a product
+    input's is Y - Y^T with Y = S triu(gamma, 1) S^T.  At n = 64 under a
+    dense layer both are within 1e-15 of S gamma S^T and exactly
+    antisymmetric."""
     rng = np.random.default_rng(62)
     n = 64
     for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
@@ -968,11 +968,41 @@ def test_basis_readout_is_one_pair_form_product():
         cc = compile_circuit(c)
         gamma = gaussian.product_state_covariance(inp).gamma
         want = cc.body @ gamma @ cc.body.T
-        if isinstance(inp, BasisInput):
-            assert np.max(np.abs(cc.readout.gamma - want)) <= 1e-15
-            assert cc.readout.antisymmetry_defect == 0.0
-        else:
-            assert np.array_equal(cc.readout.gamma, want)
+        assert np.max(np.abs(cc.readout.gamma - want)) <= 1e-15
+        assert np.array_equal(cc.readout.gamma, -cc.readout.gamma.T)
+
+
+_ANGLES = st.floats(min_value=-10.0, max_value=10.0) | st.sampled_from((0.0, math.pi / 2, math.pi))
+
+
+@given(
+    st.lists(st.tuples(_ANGLES, _ANGLES), min_size=1, max_size=12),
+    st.sampled_from((None, ("SWAP",), ("SWAP", "CZ"))),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_covariance_built_is_exactly_antisymmetric(angles, names, basis, seed):
+    """gamma == -gamma^T bit for bit, for the closed-form input covariance
+    of random Bloch vectors and for the readout of free, SWAP- and
+    CZ+SWAP-conjugated circuits on basis and product inputs, whose bodies
+    mix matchgate, linear and quadratic layers."""
+    rng = np.random.default_rng(seed)
+    n = len(angles)
+    inp = random_basis_input(rng, n) if basis else ProductInput(tuple(angles))
+    g = gaussian.product_state_covariance(ProductInput(tuple(angles))).gamma
+    assert np.array_equal(g, -g.T)
+    body = random_matchgate_layers(rng, n, 2 * n) if n > 1 else []
+    for lay in (random_linear_layer(rng, n), random_quadratic_layer(rng, n)):
+        if rng.integers(2):
+            body.insert(int(rng.integers(len(body) + 1)), lay)
+    if names is None:
+        c = Circuit(n, inp, tuple(body), "free")
+    else:
+        gates = random_clifford_gates(rng, n, 2 * n, names=names) if n > 1 else []
+        c = Circuit(n, inp, tuple(gates + body + invert_clifford_gates(gates)), "conjugated")
+    g = compile_circuit(c).readout.gamma
+    assert np.array_equal(g, -g.T)
 
 
 @pytest.mark.parametrize("names", [("SWAP",), ("SWAP", "CZ")], ids=["swap", "cz_swap"])

@@ -7,6 +7,11 @@ with each tree's `src` on PYTHONPATH, then compare the two records:
     PYTHONPATH=src python tools/compare_compile.py dump new.pkl
     python tools/compare_compile.py diff old.pkl new.pkl
 
+A record dumped to a .json path is written as JSON without the bodies;
+fixtures/answer_record.json is one, which tests/test_answer_record.py
+rebuilds and diffs against.  diff reads either form, and compares the
+bodies only when both records hold them.
+
 The record holds
   - the compiled body S of one linear and one quadratic layer at n = 8,
     64 and 256, compared bit for bit (a tree that keeps the body as
@@ -25,7 +30,7 @@ The record holds
     recorded as (exit code, or the type of the exception or SystemExit
     that escaped, stdout, stderr); diff compares the numbers after
     value=, probability= and max_deviation= to 1e-12 and the rest as
-    text, and lists each command whose record changed.
+    text, and lists each command whose record changed or is new.
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -187,6 +193,8 @@ def _malformed_inputs():
             "input": {"kind": "basis", "bits": "00"},
             "layers": [{"kind": "mystery"}],
         },
+        "input_not_object.json": {"n": 2, "input": "basis", "layers": []},
+        "layer_not_object.json": {"n": 2, "input": {"kind": "basis", "bits": "00"}, "layers": [5]},
     }
     files = {name: json.dumps(doc) for name, doc in docs.items()}
     files["invalid.json"] = "{not json"
@@ -228,6 +236,9 @@ def _cli_commands():
         "expect fixtures/free_n3.json",
         "expect fixtures/free_n3.json --pauli ZII --d-max x",
         "oracle-check fixtures/free_n3.json --queries 0",
+        "oracle-check fixtures/free_n3.json --tolerance nan",
+        "oracle-check fixtures/free_n3.json --tolerance=-1",
+        "oracle-check fixtures/free_n3.json --tolerance inf",
         "expect {tmp}/no_such_file.json --pauli ZII",
         "simulate fixtures/free_n3.json",
         "classify",
@@ -242,7 +253,8 @@ def _cli_sweep():
 
     record = {}
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    # --help wraps at the terminal's width, so the sweep fixes one
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         for name, text in _malformed_inputs().items():
             Path(tmp, name).write_text(text)
         os.chdir(ROOT)
@@ -307,8 +319,39 @@ def dump(path):
             _cli(c, ["expect", "--pauli", "ZII"]),
             _cli(c, ["marginal", "--qubits", "0", "--bits", "0"]),
         )
-    with open(path, "wb") as fh:
-        pickle.dump(record, fh)
+    if str(path).endswith(".json"):
+        del record["body"]
+        with open(path, "w") as fh:
+            _write_json(record, fh)
+    else:
+        with open(path, "wb") as fh:
+            pickle.dump(record, fh)
+
+
+def _write_json(record, fh):
+    """record as JSON with one line per answer, circuit, refusal body and
+    command, so that a change of the record reads as a diff of lines."""
+    sections = []
+    for name, value in record.items():
+        if isinstance(value, dict):
+            lines = (f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in value.items())
+            sections.append(f" {json.dumps(name)}: {{\n" + ",\n".join(lines) + "\n }")
+        else:
+            lines = (f"  {json.dumps(v)}" for v in value)
+            sections.append(f" {json.dumps(name)}: [\n" + ",\n".join(lines) + "\n ]")
+    fh.write("{\n" + ",\n".join(sections) + "\n}\n")
+
+
+def load(path) -> dict:
+    """A record from dump, its tuples read as lists as from JSON, so that
+    records of either form compare alike."""
+    if str(path).endswith(".json"):
+        with open(path) as fh:
+            return json.load(fh)
+    with open(path, "rb") as fh:
+        record = pickle.load(fh)
+    body = record.pop("body")
+    return {**json.loads(json.dumps(record)), "body": body}
 
 
 def _compare(pairs):
@@ -341,12 +384,10 @@ def _same_cli(a, b) -> bool:
 
 
 def diff(old_path, new_path) -> int:
-    with open(old_path, "rb") as fh:
-        old = pickle.load(fh)
-    with open(new_path, "rb") as fh:
-        new = pickle.load(fh)
+    old, new = load(old_path), load(new_path)
     bad = 0
-    for key, body in old["body"].items():
+    bodies = old["body"].items() if "body" in old and "body" in new else ()
+    for key, body in bodies:
         new_body = new["body"][key]
         same = np.array_equal(body, new_body)
         bad += not same
@@ -362,7 +403,7 @@ def diff(old_path, new_path) -> int:
     changes = {}
     for (kind, flags, _), (_, new_flags, _) in zip(old["grants"], new["grants"], strict=True):
         if flags != new_flags:
-            key = kind, tuple(sorted(set(flags) - set(new_flags))), tuple(sorted(set(new_flags) - set(flags)))
+            key = tuple(kind), tuple(sorted(set(flags) - set(new_flags))), tuple(sorted(set(new_flags) - set(flags)))
             changes[key] = changes.get(key, 0) + 1
     worst, refused, differ = _compare(
         (a[2], b[2]) for a, b in zip(old["grants"], new["grants"], strict=True)
@@ -384,10 +425,16 @@ def diff(old_path, new_path) -> int:
             print(f"  old {outcome}\n  new {new['refusals'][name]}")
             bad += 1
     changed = [c for c, rec in old["cli"].items() if not _same_cli(rec, new["cli"].get(c))]
-    bad += bool(changed)
-    print(f"cli: {len(old['cli'])} commands; records changed on {len(changed)}")
+    added = [c for c in new["cli"] if c not in old["cli"]]
+    bad += bool(changed) or bool(added)
+    print(
+        f"cli: {len(old['cli'])} commands; records changed on {len(changed)}; "
+        f"{len(added)} new commands"
+    )
     for command in changed:
         print(f"  {command}\n    old {old['cli'][command]}\n    new {new['cli'].get(command)}")
+    for command in added:
+        print(f"  new {command}\n    {new['cli'][command]}")
     return 1 if bad else 0
 
 
