@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tableau
-from .linalg import TOL, antisymmetry_defect
+from .linalg import NotAntisymmetric, check_antisymmetric
 from .tableau import CliffordTableau
 
 STRUCTURES = ("conjugated", "post_clifford", "free")
@@ -103,14 +103,19 @@ class QuadraticLayer:
     """exp(-i H), H = i sum_jk h_jk c_j c_k, h real antisymmetric.
 
     h is kept once, as a read-only float copy of the rows it is given, so
-    the caller's array stays writeable.  Layers compare by value, and the
-    hash, taken once, is that of h's bytes with every -0.0 made 0.0, so
-    that equal layers hash alike."""
+    the caller's array stays writeable.  The copy passes
+    linalg.check_antisymmetric, so it is exactly antisymmetric, and so is
+    every generator built from it.  Layers compare by value, and the hash,
+    taken once, is that of h's bytes with every -0.0 made 0.0, so that
+    equal layers hash alike."""
 
     h: np.ndarray  # 2n x 2n
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=float)
+        try:
+            h = check_antisymmetric(np.array(self.h, dtype=float))
+        except NotAntisymmetric as exc:  # a NaN entry fails it too
+            raise CircuitParseError("quadratic layer matrix must be antisymmetric") from exc
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "_hash", hash((h.shape, (h + 0.0).tobytes())))
@@ -251,8 +256,6 @@ def _check_layer(lay, n: int):
     elif isinstance(lay, QuadraticLayer):
         if lay.h.shape != (2 * n, 2 * n):
             raise CircuitParseError("quadratic layer needs a 2n x 2n matrix")
-        if not antisymmetry_defect(lay.h) <= TOL.antisymmetry:  # a NaN entry fails it too
-            raise CircuitParseError("quadratic layer matrix must be antisymmetric")
     else:
         raise CircuitParseError(f"unknown layer {lay!r}")
 
@@ -268,6 +271,14 @@ def _index(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    """value as a float if it is a JSON number, NaN and infinities
+    included; a string or a bool is refused, never coerced."""
+    if type(value) not in (int, float):
+        raise CircuitParseError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _input_from_json(doc, n):
     if not isinstance(doc, dict):
         raise CircuitParseError(f"input must be a JSON object, got {doc!r}")
@@ -281,7 +292,9 @@ def _input_from_json(doc, n):
         qs = doc["qubits"]
         if len(qs) != n:
             raise CircuitParseError("product input needs one angle pair per qubit")
-        return ProductInput(tuple((float(q["theta"]), float(q["phi"])) for q in qs))
+        return ProductInput(
+            tuple((_number(q["theta"], "product theta"), _number(q["phi"], "product phi")) for q in qs)
+        )
     raise CircuitParseError(f"unknown input kind {kind!r}")
 
 
@@ -294,17 +307,28 @@ def _layer_from_json(doc, n):
     if kind == "matchgate":
         coeffs = doc["coeffs"]
         return MatchgateLayer(
-            _index(doc["qubit"], "matchgate qubit"), tuple(float(coeffs[k]) for k in COEFF_KEYS)
+            _index(doc["qubit"], "matchgate qubit"),
+            tuple(_number(coeffs[k], f"matchgate coefficient {k}") for k in COEFF_KEYS),
         )
     if kind == "linear":
-        return LinearLayer(tuple(float(v) for v in doc["b"]))
+        b = doc["b"]
+        if not isinstance(b, list):
+            raise CircuitParseError(f"linear layer b must be an array, got {b!r}")
+        return LinearLayer(tuple(_number(v, "linear coefficient") for v in b))
     if kind == "quadratic":
         h = np.zeros((2 * n, 2 * n))
+        pairs = set()
         for ent in doc["h"]:
             i, j = (_index(ent[k], f"quadratic entry {k}") for k in "ij")
-            v = float(ent["v"])
+            v = _number(ent["v"], "quadratic entry v")
             if not (0 <= i < 2 * n and 0 <= j < 2 * n):
                 raise CircuitParseError(f"quadratic entry ({i}, {j}) out of range for 2n = {2 * n}")
+            if i == j:
+                raise CircuitParseError(f"quadratic entry ({i}, {j}) is on the diagonal")
+            pair = (min(i, j), max(i, j))
+            if pair in pairs:
+                raise CircuitParseError(f"quadratic entry ({i}, {j}) repeats the pair {pair}")
+            pairs.add(pair)
             h[i, j] = v
             h[j, i] = -v
         return QuadraticLayer(h)

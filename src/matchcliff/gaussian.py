@@ -60,9 +60,9 @@ class MarginalQuery:
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """A covariance, exactly antisymmetric: gamma == -gamma^T bit for bit,
-    so no query scans it.  A defect max |gamma_jk + gamma_kj| above
-    TOL.antisymmetry, or NaN, is refused; a nonzero one within it, which
-    only a hand-built gamma has, is kept as (gamma - gamma^T) / 2."""
+    so no query scans it.  The constructor applies
+    linalg.check_antisymmetric, whose repair of a defect within
+    TOL.antisymmetry only a hand-built gamma needs."""
 
     # (2n+2, 2n+2), the ancilla pair first; kept as a read-only copy, so
     # the caller's array stays writeable
@@ -70,19 +70,12 @@ class CovarianceMatrix:
     n: int  # logical qubit count
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        defect = linalg.antisymmetry_defect(g)
-        if not defect <= TOL.antisymmetry:
-            raise linalg.NotAntisymmetric(
-                f"covariance max |gamma_jk + gamma_kj| = {defect:.3e} > {TOL.antisymmetry:.1e}"
-            )
+        g = linalg.check_antisymmetric(np.array(self.gamma, dtype=float))
         m = 2 * self.n + 2
         if g.shape != (m, m):
             raise FrameworkError(f"gamma shape {g.shape} does not fit {self.n} qubits")
         if not np.max(np.abs(g)) <= 1.0 + TOL.covariance_entry:
             raise InternalConsistencyError("covariance entries outside [-1, 1]")
-        if defect:
-            g = 0.5 * (g - g.T)
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
 
@@ -179,7 +172,7 @@ def pauli_expectation(
     default chain_map(n), embed_l12(p), a product of an even number
     2k of Majoranas.  (-i)^k <c_I> = Pf(Gamma_I), so
     <p> = i^(phase + k) Pf(Gamma_I).  Gamma_I is a gather of the exactly
-    antisymmetric gamma, so the Pfaffian takes it unscanned.
+    antisymmetric gamma, so it meets the Pfaffian's precondition.
     """
     if majoranas is None:
         if p.n != c.n:
@@ -189,7 +182,7 @@ def pauli_expectation(
     if not p.is_hermitian():
         raise ValueError("expectation of a non-Hermitian string")
     sub = c.gamma.take(indices, axis=0).take(indices, axis=1)
-    val = 1j ** ((phase + len(indices) // 2) % 4) * linalg.pfaffian(sub, check=False)
+    val = 1j ** ((phase + len(indices) // 2) % 4) * linalg.pfaffian(sub)
     if not abs(val.imag) <= TOL.expectation_imag:
         raise InternalConsistencyError(
             f"expectation has imaginary residue {val.imag:.3e}"

@@ -39,27 +39,30 @@ class NotAntisymmetric(ValueError):
 
 
 def antisymmetry_defect(a: np.ndarray) -> float:
-    """max |a_ij + a_ji| over one (m, m) float matrix or an (L, m, m)
-    stack; NaN if an entry is NaN."""
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise NotAntisymmetric(f"expected square matrices, got shape {a.shape}")
-    transpose = a.T if a.ndim == 2 else a.swapaxes(-1, -2)
-    return float(np.abs(a + transpose).max(initial=0.0))
+    """max |a_ij + a_ji| over one square float matrix; NaN if an entry is
+    NaN."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotAntisymmetric(f"expected one square matrix, got shape {a.shape}")
+    return float(np.abs(a + a.T).max(initial=0.0))
 
 
 def check_antisymmetric(a: np.ndarray) -> np.ndarray:
-    """a as a float array, one (m, m) matrix or an (L, m, m) stack, if
-    every matrix is antisymmetric to within TOL.antisymmetry."""
+    """a as an exactly antisymmetric float array, the one rule for a
+    matrix that enters the program: a defect max |a_ij + a_ji| above
+    TOL.antisymmetry, or NaN, is refused; a nonzero one within it is
+    repaired to (a - a^T) / 2; a itself is returned when it is 0."""
     a = np.asarray(a, dtype=float)
     dev = antisymmetry_defect(a)
     if not dev <= TOL.antisymmetry:
         raise NotAntisymmetric(f"max |a_ij + a_ji| = {dev:.3e} > {TOL.antisymmetry:.1e}")
-    return a
+    return 0.5 * (a - a.T) if dev else a
 
 
 def slog_pfaffian(a: np.ndarray) -> tuple:
     """(sign, log|Pf|) from one Householder tridiagonalization, LAPACK
-    dgehrd (Wimmer, arXiv:1102.3440).
+    dgehrd (Wimmer, arXiv:1102.3440), of a square float matrix a that must
+    be exactly antisymmetric, as check_antisymmetric makes it: a is handed
+    to dgehrd unscanned and uncopied, and a defect gives a wrong answer.
 
     a = Q T Q^T with T tridiagonal antisymmetric and Q a product of
     elementary reflectors, each of determinant -1 unless trivial (tau = 0),
@@ -69,20 +72,14 @@ def slog_pfaffian(a: np.ndarray) -> tuple:
     Returns (1.0, 0.0) for the empty 0x0 matrix and (0.0, -inf) for odd
     order or a zero factor T[2i, 2i+1].
     """
-    return _slog_pfaffian(check_antisymmetric(a))
-
-
-def _slog_pfaffian(a: np.ndarray) -> tuple:
-    """slog_pfaffian without the scan for antisymmetry."""
-    if a.ndim != 2:
-        raise NotAntisymmetric(f"expected one square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected one square matrix, got shape {a.shape}")
     m = a.shape[0]
     if m % 2 == 1:
         return 0.0, -math.inf
     if m == 0:
         return 1.0, 0.0
-    # exact antisymmetry, so that the Hessenberg form is tridiagonal
-    t, tau, info = scipy.linalg.lapack.dgehrd(0.5 * (a - a.T))
+    t, tau, info = scipy.linalg.lapack.dgehrd(a)
     if info != 0:
         raise ValueError(f"dgehrd failed with info={info}")
     factors = t.diagonal(1)[::2].tolist()
@@ -131,24 +128,20 @@ def log_abs_det_half(a: np.ndarray) -> float:
     return float(np.log(np.abs(0.5 * pivots)).sum())
 
 
-def pfaffian(a: np.ndarray, *, check: bool = True) -> float:
-    """Pfaffian as sign * exp(log|Pf|) from slog_pfaffian; order 2 in
-    closed form, Pf = (a_01 - a_10) / 2, the factor slog_pfaffian reads
-    there.
+def pfaffian(a: np.ndarray) -> float:
+    """Pfaffian as sign * exp(log|Pf|) from slog_pfaffian, under its
+    precondition: a exactly antisymmetric, unscanned.  Order 2 is in
+    closed form, Pf = a_01, the factor slog_pfaffian reads there.
 
     Returns 0.0 for odd dimension; Pf of the empty 0x0 matrix is 1.
-    Raises ValueError when the value is not a finite float.  check=False
-    skips the scan for antisymmetry, for a caller that has bounded a's
-    defect already.
+    Raises ValueError when the value is not a finite float.
     """
-    if check:
-        a = check_antisymmetric(a)
     if a.shape == (2, 2):
-        value = float(0.5 * (a[0, 1] - a[1, 0]))
+        value = float(a[0, 1])
         if not math.isfinite(value):
             raise ValueError(f"Pfaffian is not a finite float: {value}")
         return value
-    sign, log = _slog_pfaffian(a)
+    sign, log = slog_pfaffian(a)
     try:
         value = sign * math.exp(log)
     except OverflowError:
@@ -253,7 +246,7 @@ def expm_antisymmetric(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite entries in generator")
-    h = 4.0 * check_antisymmetric(h)
+    h = 4.0 * h
     m = h.shape[-1]
     size = float(np.max(np.abs(h), initial=0.0))
     if size * m * np.finfo(float).eps > TOL.orthogonality:

@@ -239,6 +239,74 @@ def test_quadratic_layer_keeps_one_read_only_array():
         Circuit(2, BasisInput((0, 0)), (QuadraticLayer(h),))
 
 
+def test_quadratic_layer_keeps_an_exact_h_and_survives_a_json_roundtrip():
+    """A defect within TOL.antisymmetry is kept as (h - h^T) / 2, exactly
+    antisymmetric, so the upper triangle that to_json_doc writes rebuilds
+    an equal layer of equal hash; an exact h is kept bit for bit."""
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(4, 4))
+    h = h - h.T
+    assert np.array_equal(QuadraticLayer(h).h, h)
+    h[0, 3] += 5e-13
+    lay = QuadraticLayer(h)
+    assert np.array_equal(lay.h, 0.5 * (h - h.T))
+    assert np.array_equal(lay.h, -lay.h.T)
+    c = Circuit(2, BasisInput((0, 1)), (lay,))
+    back = from_json_doc(json.loads(json.dumps(to_json_doc(c))))
+    assert back == c and hash(back) == hash(c)
+    assert back.layers[0] == lay and hash(back.layers[0]) == hash(lay)
+
+
+def test_diagonal_and_repeated_quadratic_entries_are_refused():
+    """The last write of a pair won, so an earlier entry was dropped
+    silently; a diagonal entry was refused as not antisymmetric."""
+    doc = to_json_doc(small_circuit())
+    for entries, message in (
+        ([(1, 1)], r"entry \(1, 1\) is on the diagonal"),
+        ([(0, 2), (0, 2)], r"entry \(0, 2\) repeats the pair \(0, 2\)"),
+        ([(0, 2), (3, 1), (2, 0)], r"entry \(2, 0\) repeats the pair \(0, 2\)"),
+    ):
+        bad = json.loads(json.dumps(doc))
+        h = [{"i": i, "j": j, "v": 0.1 * k} for k, (i, j) in enumerate(entries)]
+        bad["layers"].append({"kind": "quadratic", "h": h})
+        with pytest.raises(CircuitParseError, match=message):
+            from_json_doc(bad)
+
+
+def test_numeric_fields_must_be_json_numbers():
+    """A string b was read digit by digit, and float() coerced string and
+    bool coefficients and angles; a JSON NaN still reaches the refusals
+    that follow parsing."""
+    doc = to_json_doc(small_circuit())
+    product = {"kind": "product", "qubits": [{"theta": 0.1, "phi": 0.2}] * 3}
+    nan = float("nan")
+    for mutate, message in (
+        (lambda d: d["layers"][1].update(b="100000"), "linear layer b must be an array"),
+        (lambda d: d["layers"][1].update(b=5), "linear layer b must be an array"),
+        (lambda d: d["layers"][1]["b"].__setitem__(2, "0.2"), "linear coefficient must be"),
+        (lambda d: d["layers"][0]["coeffs"].update(a0="0.5"), "coefficient a0 must be a number"),
+        (lambda d: d["layers"][0]["coeffs"].update(a1=True), "coefficient a1 must be a number"),
+        (lambda d: d.update(input={**product, "qubits": [{"theta": "1.0", "phi": 0.0}] * 3}), "theta"),
+        (lambda d: d.update(input={**product, "qubits": [{"theta": 1.0, "phi": True}] * 3}), "phi"),
+        (
+            lambda d: d["layers"].append({"kind": "quadratic", "h": [{"i": 0, "j": 1, "v": "0.1"}]}),
+            "quadratic entry v must be a number",
+        ),
+        (lambda d: d.update(input={**product, "qubits": [{"theta": nan, "phi": 0.0}] * 3}), "finite"),
+        (
+            lambda d: d["layers"].append({"kind": "quadratic", "h": [{"i": 0, "j": 1, "v": nan}]}),
+            "must be antisymmetric",
+        ),
+    ):
+        bad = json.loads(json.dumps(doc))
+        mutate(bad)
+        with pytest.raises(CircuitParseError, match=message):
+            from_json_doc(bad)
+    doc["input"] = product
+    doc["layers"][0]["coeffs"]["a0"] = 1  # a JSON integer is a number
+    assert from_json_doc(doc).layers[0].coeffs[0] == 1.0
+
+
 def test_basis_input_refuses_bits_other_than_0_and_1():
     """A bit of 2 once read as 1 on the covariance route and as -3 in the
     restricted route's input table."""

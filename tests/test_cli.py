@@ -460,6 +460,29 @@ def test_quadratic_entry_out_of_range_is_input_error(capsys, tmp_path, i, j):
 
 
 @pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([(0, 2, 0.3), (0, 2, -0.5)], "quadratic entry (0, 2) repeats the pair (0, 2)"),
+        ([(1, 1, 0.3)], "quadratic entry (1, 1) is on the diagonal"),
+        ([(0, 2, float("nan"))], "quadratic layer matrix must be antisymmetric"),
+    ],
+)
+def test_bad_quadratic_entries_are_input_errors(capsys, tmp_path, entries, message):
+    """A repeated pair was answered with exit 0 from its last entry, the
+    first dropped silently; a NaN entry is refused with exit 1 by the
+    layer's own antisymmetry rule."""
+    doc = {
+        "n": 2,
+        "input": {"kind": "basis", "bits": "00"},
+        "layers": [{"kind": "quadratic", "h": [{"i": i, "j": j, "v": v} for i, j, v in entries]}],
+    }
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "expect", str(path), "--pauli", "ZI")
+    assert (code, out, err) == (1, "", f"error={message}\n")
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         ({"n": 2, "input": "basis", "layers": []}, "input must be a JSON object, got 'basis'"),

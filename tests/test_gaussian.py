@@ -403,6 +403,47 @@ def test_marginal_on_a_within_tolerance_covariance_makes_one_lu_and_no_rescan(mo
     assert calls == {"antisymmetry_defect": 0, "check_antisymmetric": 0, "dgetrf": 4}
 
 
+def test_expectation_makes_no_scan_and_hands_dgehrd_an_exact_matrix(monkeypatch):
+    """Counters on the antisymmetry scan and its check, and a recorder on
+    dgehrd: an expectation on an evolved covariance, or on a hand-built
+    one within the tolerance, makes no scan, and the Pfaffian hands dgehrd
+    the gathered submatrix, exactly antisymmetric, with no symmetrised
+    copy."""
+    import scipy.linalg.lapack
+
+    rng = np.random.default_rng(9)
+    n = 6
+    h = rng.normal(size=(2 * n, 2 * n))
+    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0, 1, 0))), _logical(expm_antisymmetric(h - h.T)))
+    g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
+    g[4, 6] = linalg.TOL.antisymmetry / 2
+    loose = CovarianceMatrix(g, 3)
+    calls = dict.fromkeys(("antisymmetry_defect", "check_antisymmetric"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    factored = []
+    dgehrd = scipy.linalg.lapack.dgehrd
+
+    def recorded(a, *args, **kwargs):
+        factored.append(a)
+        return dgehrd(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgehrd", recorded)
+    queries = [(cov, p) for p in ("XYZZXY", "YIIIIX", "ZZZZZZ")] + [(loose, "ZZZ")]
+    for c, p in queries:
+        pauli_expectation(c, PauliString.from_string(p))
+    assert calls == {"antisymmetry_defect": 0, "check_antisymmetric": 0}
+    assert [len(a) for a in factored] == [8, 10, 12, 6]
+    for (c, p), a in zip(queries, factored):
+        idx, _ = gaussian.chain_map(c.n)(PauliString.from_string(p))
+        assert np.array_equal(a, c.gamma[np.ix_(idx, idx)])
+        assert np.array_equal(a, -a.T)
+
+
 def test_covariance_keeps_the_antisymmetric_part_of_a_within_tolerance_defect():
     """A defect at or below TOL.antisymmetry is admitted and kept as
     (gamma - gamma^T) / 2, exactly antisymmetric; an exactly

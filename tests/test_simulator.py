@@ -1005,6 +1005,28 @@ def test_every_covariance_built_is_exactly_antisymmetric(angles, names, basis, s
     assert np.array_equal(g, -g.T)
 
 
+@given(st.integers(1, 8), st.integers(-8, 8), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_every_generator_built_is_exactly_antisymmetric(n, exponent, seed):
+    """g == -g^T bit for bit, at coefficient magnitudes 1e-8 to 1e8, for a
+    stack of matchgate generators and for the generators of a linear layer
+    and of a quadratic layer whose h had a defect within TOL.antisymmetry:
+    expm_antisymmetric takes them unscanned."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    g = simulator.matchgate_generator(rng.normal(size=(3 * n, 6)) * scale)
+    assert np.array_equal(g, -g.swapaxes(-1, -2))
+    h = rng.normal(size=(2 * n, 2 * n)) * scale
+    h = h - h.T
+    # at most TOL.antisymmetry / 2 plus half a spacing of h[0, 1], itself
+    # at most TOL.antisymmetry / 2 wherever the addition is not lost
+    h[0, 1] += linalg.TOL.antisymmetry / 2
+    linear = LinearLayer(tuple(rng.normal(size=2 * n) * scale))
+    for lay in (linear, QuadraticLayer(h)):
+        g = simulator.layer_generator(lay, n)
+        assert np.array_equal(g, -g.swapaxes(-1, -2))
+
+
 @pytest.mark.parametrize("names", [("SWAP",), ("SWAP", "CZ")], ids=["swap", "cz_swap"])
 def test_readout_folds_the_qubit_permutation(names, monkeypatch):
     """Under SWAP and CZ+SWAP conjugations C Z_q C^dag = Z_pi(q), and the

@@ -14,8 +14,7 @@ bodies only when both records hold them.
 
 The record holds
   - the compiled body S of one linear and one quadratic layer at n = 8,
-    64 and 256, compared bit for bit (a tree that keeps the body as
-    per-layer blocks records its one block, which is S);
+    64 and 256, compared bit for bit;
   - every answer, or the refusal's type and message, of random free,
     post-Clifford and conjugated circuits with linear and quadratic
     layers at n = 2..12, compared to 1e-12;
@@ -152,16 +151,30 @@ def _cli(c, argv):
 def _malformed_inputs():
     """File name -> contents of each malformed or wholly refused input of
     the CLI sweep."""
-    def quadratic(i, j):
-        return {
-            "n": 2,
-            "input": {"kind": "basis", "bits": "00"},
-            "layers": [{"kind": "quadratic", "h": [{"i": i, "j": j, "v": 0.1}]}],
-        }
+    def layer(lay):
+        return {"n": 2, "input": {"kind": "basis", "bits": "00"}, "layers": [lay]}
 
+    def quadratic(*entries):
+        return layer({"kind": "quadratic", "h": [{"i": i, "j": j, "v": 0.1} for i, j in entries]})
+
+    coeffs = {"a0": 0.1, "a1": 0.4, "b1": 0.0, "b2": 0.2, "d1": 0.3, "d2": -0.1}
     docs = {
-        "quadratic_j9.json": quadratic(0, 9),
-        "quadratic_negative.json": quadratic(-1, 0),
+        "quadratic_j9.json": quadratic((0, 9)),
+        "quadratic_negative.json": quadratic((-1, 0)),
+        "quadratic_diagonal.json": quadratic((2, 2)),
+        "quadratic_repeated.json": quadratic((0, 2), (2, 0)),
+        "linear_string_b.json": layer({"kind": "linear", "b": "1000"}),
+        "matchgate_string_coeff.json": layer(
+            {"kind": "matchgate", "qubit": 0, "coeffs": {**coeffs, "a0": "0.5"}}
+        ),
+        "matchgate_bool_coeff.json": layer(
+            {"kind": "matchgate", "qubit": 0, "coeffs": {**coeffs, "a1": True}}
+        ),
+        "product_string_theta.json": {
+            "n": 2,
+            "input": {"kind": "product", "qubits": [{"theta": "1.0", "phi": 0.0}] * 2},
+            "layers": [],
+        },
         "no_n.json": {"input": {"kind": "basis", "bits": "00"}, "layers": []},
         "zero_qubits.json": {"n": 0, "input": {"kind": "basis", "bits": ""}, "layers": []},
         "bits_2.json": {"n": 2, "input": {"kind": "basis", "bits": "20"}, "layers": []},
@@ -172,7 +185,7 @@ def _malformed_inputs():
                 {
                     "kind": "matchgate",
                     "qubit": 1.7,
-                    "coeffs": {"a0": 0.1, "a1": 0.4, "b1": 0.0, "b2": 0.2, "d1": 0.3, "d2": -0.1},
+                    "coeffs": coeffs,
                 },
                 {"kind": "quadratic", "h": [{"i": 0.9, "j": 2.5, "v": 0.3}]},
             ],
@@ -290,10 +303,7 @@ def dump(path):
             ("quadratic", QuadraticLayer(tuple(map(tuple, h - h.T)))),
         ):
             cc = simulator.compile_circuit(Circuit(n, BasisInput((0,) * n), (lay,), "free"))
-            body = getattr(cc, "body", None)
-            if body is None:
-                ((_, body),) = cc.rotations
-            record["body"][kind, n] = np.array(body)
+            record["body"][kind, n] = np.array(cc.body)
     for n, inp, layers, structure in _circuits():
         c = Circuit(n, inp, layers, structure)
         z0 = PauliString.single(n, 0, "Z")
