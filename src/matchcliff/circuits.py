@@ -29,6 +29,15 @@ class CircuitParseError(ValueError):
     pass
 
 
+# types that numpy reads as numbers ('1000' as 1000.0, True as 1.0)
+_NOT_NUMBERS = frozenset({str, bytes, bool, np.str_, np.bytes_, np.bool_})
+
+
+def _check_numbers(values, what: str):
+    if type(values) in _NOT_NUMBERS or not _NOT_NUMBERS.isdisjoint(map(type, values)):
+        raise CircuitParseError(f"{what} must be numbers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class BasisInput:
     bits: tuple
@@ -60,6 +69,7 @@ class ProductInput:
             raise CircuitParseError(f"bad product angles: {exc}") from exc
         if angles.ndim != 2 or angles.shape[1] != 2:
             raise CircuitParseError("product input needs one (theta, phi) pair per qubit")
+        _check_numbers([v for pair in self.angles for v in pair], "product angles")
         if not np.isfinite(angles).all():
             raise CircuitParseError("product input angles must be finite")
         object.__setattr__(self, "angles", tuple(map(tuple, angles.tolist())))
@@ -90,12 +100,18 @@ class MatchgateLayer:
     qubit: int
     coeffs: tuple  # (a0, a1, b1, b2, d1, d2)
 
+    def __post_init__(self):
+        _check_numbers(self.coeffs, "matchgate coefficients")
+
 
 @dataclass(frozen=True)
 class LinearLayer:
     """exp(-i H), H = sum_j b_j c_j over the 2n chain-form Majoranas."""
 
     b: tuple
+
+    def __post_init__(self):
+        _check_numbers(self.b, "linear layer b")
 
 
 @dataclass(frozen=True, eq=False)

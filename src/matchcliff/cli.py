@@ -70,7 +70,7 @@ def cmd_expect(args) -> int:
 
 def cmd_marginal(args) -> int:
     circ = circuits.load(args.file)
-    qubits = tuple(int(tok) for tok in args.qubits.split(",") if tok != "")
+    qubits = tuple(int(tok) for tok in args.qubits.split(",")) if args.qubits else ()
     bits = tuple(int(ch) for ch in args.bits)
     val = simulator.run_marginal(circ, MarginalQuery(qubits, bits))
     _emit({"probability": val, "class": _class_string(circ)}, args.json)

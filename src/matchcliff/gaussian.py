@@ -4,9 +4,9 @@ gamma_jk = -(i/2) <[c_j, c_k]> over the 2n+2 chain-form Majoranas of
 n+1 qubits: an ancilla qubit at physical position 0, then logical qubit
 i at physical qubit i+1.  The ancilla lets linear Majorana terms act as
 quadratic ones (Jozsa-Miyake, arXiv:0804.4050; Bravyi,
-quant-ph/0404180), so every input is a product state given by its Bloch
-vectors, a basis state among them, and parity-breaking observables are
-read by the same Pfaffians as the others.
+quant-ph/0404180), so every input, a basis state among them, is a
+product state that evolve takes by its Bloch vectors, and parity-breaking
+observables are read by the same Pfaffians as the others.
 """
 from __future__ import annotations
 
@@ -79,79 +79,62 @@ class CovarianceMatrix:
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
 
-    def purity_defect(self) -> float:
-        m = self.gamma.shape[0]
-        return float(np.max(np.abs(self.gamma @ self.gamma.T - np.eye(m))))
 
+def evolve(inp, s) -> CovarianceMatrix:
+    """S gamma S^T for an input descriptor, gamma fixed by its qubits' Bloch
+    vectors (x, y, z) (`inp.bloch()`), and a rotation S of the Majoranas,
+    orthogonal to within TOL.orthogonality, that fixes Majorana 0.
 
-def evolve(c: CovarianceMatrix, s) -> CovarianceMatrix:
-    """gamma <- S gamma S^T for the body operator S: one rotation of the
-    covariance's Majoranas, orthogonal to within TOL.orthogonality, that
-    fixes Majorana 0.
-
-    gamma = U - U^T with U its strict upper triangle, so S gamma S^T =
-    Y - Y^T with Y = S U S^T: the same two GEMMs as S gamma S^T, and a
-    result that is exactly antisymmetric.  A gamma whose only nonzeros
-    are z_a = gamma[2a, 2a+1], as every basis input's is, has
-        Y = sum_a z_a s_2a s_2a+1^T = (S[:, 0::2] z) S[:, 1::2]^T,
-    with s_j column j of S: one product of half the work of one GEMM."""
+    gamma = U - U^T with U its strict upper triangle (_upper_triangle), so
+    S gamma S^T = Y - Y^T, exactly antisymmetric, with Y = S U S^T.  When
+    every x and y is 0, as a basis input's are, U holds only the pairs
+    U[2a, 2a+1] = z_a, z = (prod of all z, z_1, ..., z_n), and Y =
+    (S[:, 0::2] z) S[:, 1::2]^T: half the work of one GEMM, after O(n)."""
     s = linalg.check_rotation(s)
-    g = c.gamma
-    m = g.shape[0]
+    m = 2 * inp.n + 2
     if s.shape != (m, m):
-        raise FrameworkError(f"body operator shape {s.shape} does not fit the covariance")
+        raise FrameworkError(f"body operator shape {s.shape} does not fit {inp.n} qubits")
     e0 = np.eye(1, m)[0]
     if not max(np.max(np.abs(s[0] - e0)), np.max(np.abs(s[:, 0] - e0))) <= TOL.orthogonality:
         raise FrameworkError("the body operator must leave Majorana 0 fixed")
-    z = g.diagonal(1)[::2]
-    if np.count_nonzero(g) == 2 * np.count_nonzero(z):
-        y = (s[:, 0::2] * z) @ s[:, 1::2].T
+    bloch = inp.bloch()
+    if bloch[:, :2].any():
+        y = s @ _upper_triangle(bloch) @ s.T
     else:
-        y = s @ np.triu(g, 1) @ s.T
-    return CovarianceMatrix(y - y.T, c.n)
+        z = np.concatenate([[np.prod(bloch[:, 2])], bloch[:, 2]])
+        y = (s[:, 0::2] * z) @ s[:, 1::2].T
+    return CovarianceMatrix(y - y.T, inp.n)
 
 
-@functools.lru_cache(maxsize=1024)
-def product_state_covariance(inp) -> CovarianceMatrix:
-    """Covariance of an input descriptor, a product state given by the
-    Bloch vectors (x, y, z) of its qubits (`inp.bloch()`); a basis bit b
-    is (0, 0, 1 - 2b).
-
-    In closed form, the ancilla counting as a site before the logical
-    qubits with (x, y, z) = (1, 0, prod of all z).  For sites
-    a < b, with P the product of z over the sites strictly between them,
+def _upper_triangle(bloch) -> np.ndarray:
+    """U, the strict upper triangle of the product state's covariance
+    gamma = U - U^T, from the Bloch rows (x, y, z), with the ancilla a site
+    before the logical qubits, (x, y, z) = (1, 0, prod of all z).  For
+    sites a < b, with P the product of z over the sites strictly between,
         gamma[2a, 2b] = -y_a P x_b      gamma[2a, 2b+1] = -y_a P y_b
         gamma[2a+1, 2b] = x_a P x_b     gamma[2a+1, 2b+1] = x_a P y_b
     and gamma[2a, 2a+1] = z_a.  Majorana 0 pairs with the parity: for
     logical qubit j, with A the product of z over the qubits after j,
         gamma[0, 2j+2] = -y_j A         gamma[0, 2j+3] = x_j A.
-    Every product is cumulative, never a quotient, since z = 0 at
-    theta = pi/2.  A basis input has x = y = 0, so every entry off the
-    pairs (2a, 2a+1) is an exact zero, and the ancilla pair holds the
-    input's parity.
-    """
-    n = inp.n
-    bx, by, cz = inp.bloch().T
-    x = np.concatenate([[1.0], bx])
-    y = np.concatenate([[0.0], by])
-    z = np.concatenate([[np.prod(cz)], cz])
-    sites = np.arange(n + 1)
-    later = sites[None, :] > sites[:, None]
+    Every product is cumulative, never a quotient: z = 0 at theta = pi/2."""
+    n = len(bloch)
+    x, y, z = np.concatenate([[[1.0, 0.0, np.prod(bloch[:, 2])]], bloch]).T
+    later = np.less.outer(np.arange(n + 1), np.arange(n + 1))  # a < b
     # between[a, b] = prod of z_l over a < l < b, zero unless a < b
     run = np.cumprod(np.where(later, z[None, :], 1.0), axis=1)
     between = np.zeros((n + 1, n + 1))
     between[:, 1:] = run[:, :-1]
     between *= later
-    g = np.zeros((2 * n + 2, 2 * n + 2))
-    g[0::2, 0::2] = -np.outer(y, x) * between
-    g[0::2, 1::2] = -np.outer(y, y) * between + np.diag(z)
-    g[1::2, 0::2] = np.outer(x, x) * between
-    g[1::2, 1::2] = np.outer(x, y) * between
+    u = np.zeros((2 * n + 2, 2 * n + 2))
+    u[0::2, 0::2] = -np.outer(y, x) * between
+    u[0::2, 1::2] = -np.outer(y, y) * between + np.diag(z)
+    u[1::2, 0::2] = np.outer(x, x) * between
+    u[1::2, 1::2] = np.outer(x, y) * between
     after = np.ones(n)
-    after[:-1] = np.cumprod(cz[::-1])[::-1][1:]
-    g[0, 2::2] = -y[1:] * after
-    g[0, 3::2] = x[1:] * after
-    return CovarianceMatrix(g - g.T, n)
+    after[:-1] = np.cumprod(z[:0:-1])[::-1][1:]
+    u[0, 2::2] = -y[1:] * after
+    u[0, 3::2] = x[1:] * after
+    return u
 
 
 @functools.lru_cache(maxsize=64)

@@ -197,12 +197,13 @@ class CompiledCircuit:
     @functools.cached_property
     def readout(self) -> CovarianceMatrix:
         """The covariance that the covariance route reads, built on its
-        first query: S gamma S^T of the input, with C|x> = |A x + b> for a
-        basis input x under a basis-permuting C.  Under the swap and
-        CZ+swap classes C Z_q C^dag = Z_pi(q), pi read from the X parts of
-        A, and a product input's qubit j moves to pi(j); S's rows are
-        gathered so that pair pi(q) lands on pair q.  The permutation
-        class maps each query's bits through basis_map."""
+        first query by gaussian.evolve from the input descriptor: S gamma
+        S^T of the input, with C|x> = |A x + b> for a basis input x under a
+        basis-permuting C.  Under the swap and CZ+swap classes C Z_q C^dag
+        = Z_pi(q), pi read from the X parts of A, and a product input's
+        qubit j moves to pi(j); S's rows are gathered so that pair pi(q)
+        lands on pair q.  The permutation class maps each query's bits
+        through basis_map."""
         c = self.circuit
         inp, s = c.input, self.body
         if isinstance(inp, BasisInput) and self.basis_map is not None:
@@ -213,7 +214,7 @@ class CompiledCircuit:
             if isinstance(inp, ProductInput):
                 inp = ProductInput(tuple(inp.angles[j] for j in np.argsort(perm)))
             s = s[np.concatenate([[0, 1], gaussian.majorana_pairs(c.n)[perm].ravel()])]
-        return gaussian.evolve(gaussian.product_state_covariance(inp), s)
+        return gaussian.evolve(inp, s)
 
     @functools.cached_property
     def basis_masks(self) -> tuple:

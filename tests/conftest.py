@@ -18,6 +18,13 @@ ONE_QUBIT_GATES = ("H", "S")
 TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
 
 
+def input_covariance(inp):
+    """The covariance of an input, un-evolved: evolve under the identity."""
+    from matchcliff.gaussian import evolve
+
+    return evolve(inp, np.eye(2 * inp.n + 2))
+
+
 def random_basis_input(rng, n):
     return BasisInput(tuple(int(b) for b in rng.integers(0, 2, size=n)))
 

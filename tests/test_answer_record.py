@@ -6,6 +6,10 @@ A change that moves an answer, a grant, a refusal or a CLI record on
 purpose regenerates the fixture, and the change shows as its diff:
 
     PYTHONPATH=src python tools/compare_compile.py dump fixtures/answer_record.json
+
+Dumped over the committed file, each entry that the rules call equal
+keeps its committed text, so an answer that moved only in its last
+digits, as on another host, leaves its line as it is.
 """
 import importlib.util
 from pathlib import Path

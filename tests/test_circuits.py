@@ -307,6 +307,31 @@ def test_numeric_fields_must_be_json_numbers():
     assert from_json_doc(doc).layers[0].coeffs[0] == 1.0
 
 
+def test_layer_and_input_constructors_refuse_non_numbers():
+    """Built in Python, a string b, string or bool coefficients and string
+    angles were read by numpy as numbers, and their circuits answered;
+    each constructor refuses them, as the parser does, and numpy numbers
+    still pass."""
+    for build, what in (
+        (lambda: LinearLayer("1000"), "linear layer b"),
+        (lambda: LinearLayer(b"\x00\x01\x00\x01"), "linear layer b"),
+        (lambda: LinearLayer((0.1, "0.2", 0.0, 0.0)), "linear layer b"),
+        (lambda: MatchgateLayer(0, ("0.5", True, 0, 0, 0, 0)), "matchgate coefficients"),
+        (lambda: MatchgateLayer(0, (0.5, np.True_, 0, 0, 0, 0)), "matchgate coefficients"),
+        (lambda: ProductInput((("1.0", "0.5"),)), "product angles"),
+        (lambda: ProductInput(((1.0, False),)), "product angles"),
+    ):
+        with pytest.raises(CircuitParseError, match=f"{what} must be numbers"):
+            build()
+    x = np.float64(0.3)
+    c = Circuit(
+        2,
+        ProductInput(((x, np.int64(1)), (0.2, x))),
+        (MatchgateLayer(0, (x,) * 6), LinearLayer(tuple(np.array([0.3, 0.1, 0.0, 0.2])))),
+    )
+    assert c.input.angles == ((0.3, 1.0), (0.2, 0.3))
+
+
 def test_basis_input_refuses_bits_other_than_0_and_1():
     """A bit of 2 once read as 1 on the covariance route and as -3 in the
     restricted route's input table."""

@@ -234,6 +234,18 @@ def test_marginal_bits_other_than_0_and_1_are_input_errors(capsys):
         assert "error=" in err
 
 
+def test_an_empty_qubits_token_is_an_input_error(capsys):
+    """0,,1 and 0,1, and ,0,1 were read as 0,1 and answered with exit 0;
+    only an empty --qubits means no qubits."""
+    path = f"{FIXTURES}/free_n3.json"
+    for qubits in ("0,,1", "0,1,", ",0,1"):
+        code, out, err = run_cli(capsys, "marginal", path, "--qubits", qubits, "--bits", "01")
+        assert (code, out) == (1, "")
+        assert err.count("error=") == 1
+    code, out, _ = run_cli(capsys, "marginal", path, "--qubits", "", "--bits", "")
+    assert code == 0 and parse_kv(out)["probability"] == "1.0"
+
+
 @pytest.mark.parametrize(
     "fixture, pauli",
     [("free_n3.json", "iZII"), ("swap_conj_n3.json", "iZII"), ("ghz4.json", "iZIIIII")],

@@ -13,11 +13,12 @@ from matchcliff.gaussian import (
     evolve,
     marginal_probability,
     pauli_expectation,
-    product_state_covariance,
 )
 from matchcliff.circuits import BasisInput, ProductInput
 from matchcliff.linalg import expm_antisymmetric
 from matchcliff.pauli import PauliString
+
+from conftest import input_covariance
 
 
 def _body(m, blocks):
@@ -33,7 +34,7 @@ def _logical(r):
 
 
 def test_vacuum_covariance_expectations():
-    c = product_state_covariance(BasisInput((0, 0, 0)))
+    c = input_covariance(BasisInput((0, 0, 0)))
     assert pauli_expectation(c, PauliString.from_string("ZII")) == pytest.approx(1.0)
     assert pauli_expectation(c, PauliString.from_string("IZI")) == pytest.approx(1.0)
     assert pauli_expectation(c, PauliString.from_string("ZZI")) == pytest.approx(1.0)
@@ -41,13 +42,13 @@ def test_vacuum_covariance_expectations():
 
 
 def test_excited_bit_flips_sign():
-    c = product_state_covariance(BasisInput((1, 0)))
+    c = input_covariance(BasisInput((1, 0)))
     assert pauli_expectation(c, PauliString.from_string("ZI")) == pytest.approx(-1.0)
     assert pauli_expectation(c, PauliString.from_string("IZ")) == pytest.approx(1.0)
 
 
 def test_parity_breaking_strings_vanish():
-    c = product_state_covariance(BasisInput((0, 1, 0)))
+    c = input_covariance(BasisInput((0, 1, 0)))
     for s in ("XII", "IYI", "XZI", "ZZY"):
         assert pauli_expectation(c, PauliString.from_string(s)) == 0.0
 
@@ -58,7 +59,7 @@ def test_covariance_requires_antisymmetry():
 
 
 def test_vacuum_marginals():
-    c = product_state_covariance(BasisInput((0,)))
+    c = input_covariance(BasisInput((0,)))
     assert marginal_probability(c, MarginalQuery((0,), (0,))) == pytest.approx(1.0)
     assert marginal_probability(c, MarginalQuery((0,), (1,))) == pytest.approx(0.0)
 
@@ -76,7 +77,7 @@ def test_marginals_match_oracle_after_evolution():
             for j in range(2 * n)
             if i != j
         ]
-        cov = evolve(product_state_covariance(BasisInput((0,) * n)), _logical(expm_antisymmetric(h)))
+        cov = evolve(BasisInput((0,) * n), _logical(expm_antisymmetric(h)))
         st = oracle.basis_state(n, (0,) * n)
         hmat = sum(
             1j * h[i, j] * jw.majoranas[i].dense() @ jw.majoranas[j].dense()
@@ -95,12 +96,14 @@ def test_marginals_match_oracle_after_evolution():
 def test_evolution_preserves_purity():
     rng = np.random.default_rng(1)
     n = 4
-    c = product_state_covariance(BasisInput((0, 1, 0, 1)))
+    inp = BasisInput((0, 1, 0, 1))
+    s = np.eye(2 * n + 2)
     for _ in range(5):
         h = rng.normal(size=(2 * n, 2 * n))
         h = h - h.T
-        c = evolve(c, _logical(expm_antisymmetric(h)))
-        assert c.purity_defect() <= 1e-8
+        s = _logical(expm_antisymmetric(h)) @ s
+        g = evolve(inp, s).gamma
+        assert np.max(np.abs(g @ g.T - np.eye(2 * n + 2))) <= 1e-8
 
 
 def test_product_state_covariance_matches_oracle():
@@ -108,7 +111,7 @@ def test_product_state_covariance_matches_oracle():
     for trial in range(8):
         n = int(rng.integers(2, 5))
         angles = tuple((float(t), float(p)) for t, p in rng.normal(size=(n, 2)))
-        cov = product_state_covariance(ProductInput(angles))
+        cov = input_covariance(ProductInput(angles))
         assert cov.gamma.shape == (2 * n + 2, 2 * n + 2)
         st = oracle.product_state(angles)
         # single-qubit expectations through the embedded frame
@@ -124,7 +127,7 @@ def test_marginal_distribution_normalizes():
     n = 4
     h = rng.normal(size=(2 * n, 2 * n)) * 0.5
     h = h - h.T
-    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), _logical(expm_antisymmetric(h)))
+    cov = evolve(BasisInput((0, 1, 1, 0)), _logical(expm_antisymmetric(h)))
     import itertools
 
     for qubits in ((2,), (0, 3), (1, 2, 3)):
@@ -147,7 +150,7 @@ def test_log_domain_marginal_equals_signed_pfaffian(n, scale, seed):
     rng = np.random.default_rng(seed)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
     h = rng.normal(size=(2 * n, 2 * n)) * scale
-    cov = evolve(product_state_covariance(BasisInput(bits)), _logical(expm_antisymmetric(h - h.T)))
+    cov = evolve(BasisInput(bits), _logical(expm_antisymmetric(h - h.T)))
     k = int(rng.integers(1, n + 1))
     qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
     # mostly the likelier outcome per qubit, so the products stay sizeable
@@ -170,7 +173,7 @@ def test_empty_marginal_is_one(capfd):
     on stdout."""
     rng = np.random.default_rng(5)
     h = rng.normal(size=(6, 6))
-    cov = evolve(product_state_covariance(BasisInput((1, 0, 1))), _logical(expm_antisymmetric(h - h.T)))
+    cov = evolve(BasisInput((1, 0, 1)), _logical(expm_antisymmetric(h - h.T)))
     assert marginal_probability(cov, MarginalQuery((), ())) == 1.0
     assert capfd.readouterr() == ("", "")
 
@@ -182,17 +185,24 @@ def _random_rotation(rng, m):
 
 @given(
     st.integers(min_value=2, max_value=32),
-    st.booleans(),
+    st.sampled_from(("basis", "product", "poles")),
     st.integers(min_value=0, max_value=10**6),
 )
-@settings(max_examples=30, deadline=None)
-def test_block_evolve_equals_dense_conjugation(n, product, seed):
+@settings(max_examples=40, deadline=None)
+def test_block_evolve_equals_dense_conjugation(n, kind, seed):
+    """evolve(inp, S) against S gamma S^T of the input's covariance, to
+    1e-12, on both of its paths: a basis input, a product input, and a
+    product input at the poles, every theta 0 or pi, where sin(0) is
+    exactly 0 and sin(pi) is not."""
     rng = np.random.default_rng(seed)
-    if product:
-        inp = ProductInput(tuple(map(tuple, rng.normal(size=(n, 2)))))
-    else:
+    if kind == "basis":
         inp = BasisInput(tuple(int(b) for b in rng.integers(0, 2, size=n)))
-    start = product_state_covariance(inp)
+    else:
+        angles = rng.normal(size=(n, 2))
+        if kind == "poles":
+            angles[:, 0] = np.pi * rng.integers(0, 2, size=n)
+        inp = ProductInput(tuple(map(tuple, angles)))
+    start = input_covariance(inp)
     m = start.gamma.shape[0]
     # matchgate blocks leave the ancilla pair alone; a dense block, like a
     # linear layer's, fixes Majorana 0 only
@@ -206,7 +216,7 @@ def test_block_evolve_equals_dense_conjugation(n, product, seed):
         full[off : off + r.shape[0], off : off + r.shape[0]] = r
         s = full @ s
     assert np.max(np.abs(_body(m, blocks) - s)) <= 1e-12
-    got = evolve(start, _body(m, blocks)).gamma
+    got = evolve(inp, _body(m, blocks)).gamma
     assert np.max(np.abs(got - s @ start.gamma @ s.T)) <= 1e-12
 
 
@@ -214,23 +224,23 @@ def test_evolve_refuses_blocks_that_break_the_frame():
     """A body operator that moves Majorana 0, or does not fit the
     covariance, is refused, however its blocks were laid out."""
     rng = np.random.default_rng(6)
-    cov = product_state_covariance(BasisInput((0, 1)))
+    inp = BasisInput((0, 1))
     with pytest.raises(gaussian.FrameworkError, match="Majorana 0"):
-        evolve(cov, _body(6, [(0, _random_rotation(rng, 4))]))
+        evolve(inp, _body(6, [(0, _random_rotation(rng, 4))]))
     with pytest.raises(gaussian.FrameworkError, match="Majorana 0"):
-        evolve(cov, _body(6, [(2, _random_rotation(rng, 4)), (0, _random_rotation(rng, 6))]))
+        evolve(inp, _body(6, [(2, _random_rotation(rng, 4)), (0, _random_rotation(rng, 6))]))
     with pytest.raises(gaussian.FrameworkError, match="does not fit"):
-        evolve(cov, _body(8, [(4, _random_rotation(rng, 4))]))  # rows 4..7 of 6
+        evolve(inp, _body(8, [(4, _random_rotation(rng, 4))]))  # rows 4..7 of 6
 
 
 def test_evolve_refuses_any_non_orthogonal_block():
     rng = np.random.default_rng(8)
-    cov = product_state_covariance(BasisInput((0, 1, 1, 0)))
-    for k, order in ((2, 4), (1, 8)):
-        blocks = [(2, _random_rotation(rng, 4)) for _ in range(4)]
-        blocks.insert(k, (0, 1.001 * _random_rotation(rng, order)))
-        with pytest.raises(ValueError, match="not orthogonal"):
-            evolve(cov, _body(10, blocks))
+    for inp in (BasisInput((0, 1, 1, 0)), ProductInput(((0.3, 0.1),) * 4)):
+        for k, order in ((2, 4), (1, 8)):
+            blocks = [(2, _random_rotation(rng, 4)) for _ in range(4)]
+            blocks.insert(k, (0, 1.001 * _random_rotation(rng, order)))
+            with pytest.raises(ValueError, match="not orthogonal"):
+                evolve(inp, _body(10, blocks))
 
 
 def _hermitian_majorana_monomials(n):
@@ -248,7 +258,7 @@ def test_closed_form_product_covariance_matches_oracle_on_degree_two():
     for n in range(1, 9):
         thetas = [special[q % 3] if q % 2 == 0 else rng.uniform(0, np.pi) for q in range(n)]
         angles = tuple((float(t), float(rng.uniform(0, 2 * np.pi))) for t in thetas)
-        cov = product_state_covariance(ProductInput(angles))
+        cov = input_covariance(ProductInput(angles))
         st = oracle.product_state(angles)
         for p in _hermitian_majorana_monomials(n):
             want = oracle.expectation(st, p).real
@@ -260,7 +270,7 @@ def test_closed_form_product_covariance_is_pure_at_n256():
     n = 256
     thetas = rng.choice([0.0, np.pi / 2, np.pi, 0.3, 2.0], size=n)
     angles = tuple((float(t), float(p)) for t, p in zip(thetas, rng.uniform(0, 2 * np.pi, n)))
-    gamma = product_state_covariance(ProductInput(angles)).gamma
+    gamma = input_covariance(ProductInput(angles)).gamma
     assert np.max(np.abs(gamma @ gamma.T - np.eye(2 * n + 2))) <= 1e-12
 
 
@@ -284,15 +294,17 @@ def test_basis_covariance_differs_from_the_lifted_block_form_only_in_majorana_0(
             lifted[2 * site, 2 * site + 1], lifted[2 * site + 1, 2 * site] = z, -z
         want = lifted.copy()
         want[0, 1], want[1, 0] = (-1.0) ** sum(bits), -((-1.0) ** sum(bits))
-        cov = product_state_covariance(BasisInput(bits))
+        cov = input_covariance(BasisInput(bits))
         assert np.array_equal(cov.gamma, want)
         # a linear layer's dense rotation mixes Majorana 1 into the others
         dense = np.eye(m)
         dense[1:, 1:] = _random_rotation(rng, m - 1)
         blocks = [(int(rng.integers(2, m - 3)), _random_rotation(rng, 4)) for _ in range(4)]
         for body in (_body(m, blocks), _body(m, blocks + [(0, dense)])):
-            new = evolve(cov, body)
-            old = evolve(CovarianceMatrix(lifted, n), body)
+            new = evolve(BasisInput(bits), body)
+            # S lifted S^T by hand, as Y - Y^T with Y from the lifted pairs
+            y = (body[:, 0::2] * lifted.diagonal(1)[::2]) @ body[:, 1::2].T
+            old = CovarianceMatrix(y - y.T, n)
             assert np.array_equal(new.gamma[1:, 1:], old.gamma[1:, 1:])
             for p in paulis:
                 if p.is_hermitian():
@@ -326,7 +338,7 @@ def test_marginal_kernel_reads_the_given_pair_table():
     rng = np.random.default_rng(6)
     n = 4
     h = rng.normal(size=(2 * n, 2 * n))
-    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0))), _logical(expm_antisymmetric(h - h.T)))
+    cov = evolve(BasisInput((0, 1, 1, 0)), _logical(expm_antisymmetric(h - h.T)))
     pairs = gaussian.majorana_pairs(n)
     assert pairs.tolist() == [[2, 3], [4, 5], [6, 7], [8, 9]]
     for q, (a, b) in enumerate(pairs):
@@ -346,7 +358,7 @@ def test_covariance_refuses_a_defect_past_the_tolerance_at_construction():
     """The constructor applies check_antisymmetric's rule, TOL.antisymmetry
     at 1x: a defect past it, or a NaN entry, is refused when the
     covariance is built, not query by query."""
-    g = product_state_covariance(BasisInput((0, 1, 0))).gamma
+    g = input_covariance(BasisInput((0, 1, 0))).gamma
     for bad in (2 * linalg.TOL.antisymmetry, 5e-12, np.nan):
         off = g.copy()
         off[4, 6] = bad  # between qubits 1 and 2, unmatched by off[6, 4]
@@ -362,7 +374,7 @@ def test_impossible_outcome_on_a_basis_input_is_exactly_zero(n):
     the LU meets an exactly zero pivot, at k = 1 and at k = n."""
     rng = np.random.default_rng(n)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    cov = product_state_covariance(BasisInput(bits))
+    cov = input_covariance(BasisInput(bits))
     j = int(rng.integers(n))
     assert marginal_probability(cov, MarginalQuery((j,), (1 - bits[j],))) == 0.0
     assert marginal_probability(cov, MarginalQuery((j,), (bits[j],))) == 1.0
@@ -380,8 +392,8 @@ def test_marginal_on_a_within_tolerance_covariance_makes_one_lu_and_no_rescan(mo
     rng = np.random.default_rng(8)
     n = 6
     h = rng.normal(size=(2 * n, 2 * n))
-    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0, 1, 0))), _logical(expm_antisymmetric(h - h.T)))
-    g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
+    cov = evolve(BasisInput((0, 1, 1, 0, 1, 0)), _logical(expm_antisymmetric(h - h.T)))
+    g = input_covariance(BasisInput((0, 1, 0))).gamma.copy()
     g[4, 6] = linalg.TOL.antisymmetry / 2
     loose = CovarianceMatrix(g, 3)
     calls = dict.fromkeys(("antisymmetry_defect", "check_antisymmetric", "dgetrf"), 0)
@@ -414,8 +426,8 @@ def test_expectation_makes_no_scan_and_hands_dgehrd_an_exact_matrix(monkeypatch)
     rng = np.random.default_rng(9)
     n = 6
     h = rng.normal(size=(2 * n, 2 * n))
-    cov = evolve(product_state_covariance(BasisInput((0, 1, 1, 0, 1, 0))), _logical(expm_antisymmetric(h - h.T)))
-    g = product_state_covariance(BasisInput((0, 1, 0))).gamma.copy()
+    cov = evolve(BasisInput((0, 1, 1, 0, 1, 0)), _logical(expm_antisymmetric(h - h.T)))
+    g = input_covariance(BasisInput((0, 1, 0))).gamma.copy()
     g[4, 6] = linalg.TOL.antisymmetry / 2
     loose = CovarianceMatrix(g, 3)
     calls = dict.fromkeys(("antisymmetry_defect", "check_antisymmetric"), 0)
@@ -448,7 +460,7 @@ def test_covariance_keeps_the_antisymmetric_part_of_a_within_tolerance_defect():
     """A defect at or below TOL.antisymmetry is admitted and kept as
     (gamma - gamma^T) / 2, exactly antisymmetric; an exactly
     antisymmetric gamma is kept bit for bit."""
-    g = product_state_covariance(BasisInput((0, 1))).gamma
+    g = input_covariance(BasisInput((0, 1))).gamma
     assert np.array_equal(CovarianceMatrix(g, 2).gamma, g)
     for defect in (4e-13, linalg.TOL.antisymmetry):
         off = g.copy()
@@ -461,7 +473,7 @@ def test_covariance_keeps_the_antisymmetric_part_of_a_within_tolerance_defect():
 def test_covariance_keeps_a_read_only_copy_of_the_callers_array():
     """The constructor made the caller's array read-only; it now keeps a
     read-only copy, and the caller's array stays writeable."""
-    g = product_state_covariance(BasisInput((0, 1))).gamma.copy()
+    g = input_covariance(BasisInput((0, 1))).gamma.copy()
     for defect in (0.0, 4e-13):  # kept as is, and as its antisymmetric part
         g[2, 5] = defect
         cov = CovarianceMatrix(g, 2)

@@ -38,6 +38,7 @@ from matchcliff.simulator import (
 from conftest import (
     conjugated_circuit,
     dense_matchgate_rotation,
+    input_covariance,
     invert_clifford_gates,
     random_basis_input,
     random_clifford_gates,
@@ -565,7 +566,7 @@ def test_long_block_evolution_equals_dense_rotations_above_the_oracle_cap(n, kin
     s = np.eye(cov.shape[0])
     for lay in body:
         s = dense[id(lay)] @ s
-    start = gaussian.product_state_covariance(inp).gamma
+    start = input_covariance(inp).gamma
     assert np.max(np.abs(cov - s @ start @ s.T)) <= 1e-9
     assert np.max(np.abs(cov @ cov.T - np.eye(cov.shape[0]))) <= 1e-9
 
@@ -788,7 +789,8 @@ def _granted_marginal_circuits(rng, n):
 )
 def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
     """A circuit's first marginal builds its readout; later marginals
-    neither evolve nor build a covariance."""
+    neither evolve nor build an input's triangle, which only a product
+    input's readout builds."""
     rng = np.random.default_rng(17)
     n = 4
     c = _granted_marginal_circuits(rng, n)[kind]
@@ -802,7 +804,7 @@ def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
         return MarginalQuery(qubits, tuple(int(b) for b in rng.integers(0, 2, size=k)))
 
     run_marginal(c, query())
-    calls = dict.fromkeys(("evolve", "product_state_covariance"), 0)
+    calls = dict.fromkeys(("evolve", "_upper_triangle"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(gaussian, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -818,7 +820,7 @@ def test_marginals_after_the_first_read_the_compiled_readout(monkeypatch, kind):
     # the counters are live: a recompiled circuit builds its readout again
     compile_circuit.cache_clear()
     run_marginal(c, query())
-    assert calls == dict.fromkeys(calls, 1)
+    assert calls == {"evolve": 1, "_upper_triangle": int(isinstance(c.input, ProductInput))}
 
 
 @pytest.mark.parametrize(
@@ -958,18 +960,49 @@ def test_body_blocks_are_applied_once_per_compile(monkeypatch):
 def test_basis_readout_is_one_pair_form_product():
     """A basis input's covariance is nonzero only on the pairs (2a, 2a+1),
     so its readout is Y - Y^T, Y = (S[:, 0::2] z) S[:, 1::2]^T; a product
-    input's is Y - Y^T with Y = S triu(gamma, 1) S^T.  At n = 64 under a
-    dense layer both are within 1e-15 of S gamma S^T and exactly
-    antisymmetric."""
+    input's is Y - Y^T with Y = S U S^T, U the strict upper triangle of
+    its covariance.  At n = 64 under a dense layer both are within 1e-15
+    of S gamma S^T and exactly antisymmetric."""
     rng = np.random.default_rng(62)
     n = 64
     for inp in (random_basis_input(rng, n), random_product_input(rng, n)):
         c = Circuit(n, inp, (random_quadratic_layer(rng, n),), "free")
         cc = compile_circuit(c)
-        gamma = gaussian.product_state_covariance(inp).gamma
+        gamma = input_covariance(inp).gamma
         want = cc.body @ gamma @ cc.body.T
         assert np.max(np.abs(cc.readout.gamma - want)) <= 1e-15
         assert np.array_equal(cc.readout.gamma, -cc.readout.gamma.T)
+
+
+@pytest.mark.parametrize("kind", ["basis", "product", "poles"])
+def test_only_a_product_readout_builds_the_upper_triangle(monkeypatch, kind):
+    """A readout evolves its input once.  A basis input, and a product
+    input with every theta 0, whose x and y are exactly 0, reach evolve as
+    their pair vector z and never build the (2n+2)^2 triangle; any other
+    product input builds it once, however many queries read the state."""
+    rng = np.random.default_rng(63)
+    n = 5
+    if kind == "basis":
+        inp = random_basis_input(rng, n)
+    else:
+        angles = rng.normal(size=(n, 2))
+        if kind == "poles":
+            angles[:, 0] = 0.0
+        inp = ProductInput(tuple(map(tuple, angles)))
+    c = Circuit(n, inp, tuple(random_matchgate_layers(rng, n, 6) + [random_linear_layer(rng, n)]))
+    calls = dict.fromkeys(("evolve", "_upper_triangle"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(gaussian, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(gaussian, name, counted)
+    ref = oracle.apply_circuit(c)
+    for q in range(n):
+        z = PauliString.single(n, q, "Z")
+        assert abs(run_expectation(c, z) - oracle.expectation(ref, z).real) <= 1e-9
+        assert abs(run_marginal(c, MarginalQuery((q,), (1,))) - oracle.marginal(ref, (q,), (1,))) <= 1e-9
+    assert calls == {"evolve": 1, "_upper_triangle": int(kind == "product")}
 
 
 _ANGLES = st.floats(min_value=-10.0, max_value=10.0) | st.sampled_from((0.0, math.pi / 2, math.pi))
@@ -990,7 +1023,7 @@ def test_every_covariance_built_is_exactly_antisymmetric(angles, names, basis, s
     rng = np.random.default_rng(seed)
     n = len(angles)
     inp = random_basis_input(rng, n) if basis else ProductInput(tuple(angles))
-    g = gaussian.product_state_covariance(ProductInput(tuple(angles))).gamma
+    g = input_covariance(ProductInput(tuple(angles))).gamma
     assert np.array_equal(g, -g.T)
     body = random_matchgate_layers(rng, n, 2 * n) if n > 1 else []
     for lay in (random_linear_layer(rng, n), random_quadratic_layer(rng, n)):
@@ -1038,8 +1071,8 @@ def test_readout_folds_the_qubit_permutation(names, monkeypatch):
     evolved = []
     evolve = gaussian.evolve
 
-    def recorded(cov, s):
-        evolved.append(evolve(cov, s))
+    def recorded(inp, s):
+        evolved.append(evolve(inp, s))
         return evolved[-1]
 
     monkeypatch.setattr(gaussian, "evolve", recorded)
@@ -1056,7 +1089,7 @@ def test_readout_folds_the_qubit_permutation(names, monkeypatch):
             relabelled = BasisInput(tuple(int(b) for b in tableau.basis_action(t, inp.bits)[0]))
         else:
             relabelled = ProductInput(tuple(inp.angles[pi.index(j)] for j in range(n)))
-        want = evolve(gaussian.product_state_covariance(relabelled), cc.body).gamma
+        want = evolve(relabelled, cc.body).gamma
         # the ancilla pair stays, and pair q takes pair pi(q)'s rows and columns
         idx = [0, 1] + [2 * j + 2 + i for j in pi for i in (0, 1)]
         assert cc.readout is evolved[-1]
